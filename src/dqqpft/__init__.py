@@ -11,8 +11,6 @@ convolution, qcsv/PPM I/O and a seeded verification harness.
 from .bench import BenchRow, format_table, run_bench
 from .fast import (
     FastPlan,
-    alt_dqft2,
-    alt_recombination,
     dqft2_via_fft,
     forward_fast,
     inverse_fast,

@@ -168,10 +168,23 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _attach_params_value(argv: list[str]) -> list[str]:
+    """Rewrite '--params VALUE' as '--params=VALUE' when VALUE starts with '-'.
+
+    argparse reads a separate token such as '-0.3,1,0,0,0:...' as an
+    unknown flag, so a negative first parameter would otherwise be rejected.
+    """
+    argv = list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--params" and argv[i + 1].startswith("-"):
+            argv[i:i + 2] = [f"--params={argv[i + 1]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_params_value(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -187,3 +200,7 @@ def main(argv=None) -> int:
 def run() -> None:
     """Console-script entry point."""
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

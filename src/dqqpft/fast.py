@@ -24,7 +24,6 @@ import numpy as np
 
 from .fft import _fft2_raw
 from .params import ParameterError
-from .quaternion import Quaternion, qmul
 from .signal import QSignal2D
 from .transform import (
     TWO_SIDED,
@@ -42,8 +41,6 @@ __all__ = [
     "dqft2_via_fft",
     "forward_fast",
     "inverse_fast",
-    "alt_dqft2",
-    "alt_recombination",
 ]
 
 
@@ -53,8 +50,8 @@ class FastPlan:
 
     ``pre1``/``post1`` are i-complex vectors; ``pre2``/``post2`` hold the
     exp(i*theta) bookkeeping of the j-complex axis-2 chirps.  All entries
-    have unit modulus.  FFT twiddle and chirp-z tables are cached per
-    axis length inside the FFT engine and shared between plans.
+    have unit modulus.  The FFTs themselves need no tables here:
+    ``numpy.fft`` plans every axis length internally.
     """
 
     cfg: TransformConfig
@@ -98,6 +95,14 @@ def _recombine(a: np.ndarray):
     return t, h
 
 
+def _dqft2_pair(t: np.ndarray, h: np.ndarray, sign: int):
+    """Unnormalised two-sided quaternion DFT of the pair t + j*h via two FFTs."""
+    ta, ha = _recombine(_fft2_raw(t, sign))
+    tb, hb = _recombine(_reflect(_fft2_raw(h, sign), 0))
+    # j * (tb + j*hb) = -hb + j*tb
+    return ta - hb, ha + tb
+
+
 def dqft2_via_fft(psi: QSignal2D, direction: str = "forward") -> QSignal2D:
     """Unnormalised two-sided quaternion DFT through two complex FFTs."""
     if direction == "forward":
@@ -106,66 +111,28 @@ def dqft2_via_fft(psi: QSignal2D, direction: str = "forward") -> QSignal2D:
         sign = +1
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    t, h = psi.to_symplectic()
-    ta, ha = _recombine(_fft2_raw(t, sign))
-    tb, hb = _recombine(_reflect(_fft2_raw(h, sign), 0))
-    # j * (tb + j*hb) = -hb + j*tb
-    return QSignal2D.from_symplectic(ta - hb, ha + tb)
+    return QSignal2D.from_symplectic(*_dqft2_pair(*psi.to_symplectic(), sign))
+
+
+def _chirp_dft_chirp(f: QSignal2D, plan: FastPlan, pre, post, sign: int) -> QSignal2D:
+    """Chirp sandwich ``pre``, pair DFT of exponent ``sign``, sandwich ``post``, scale.
+
+    Splits ``f`` once and builds one ``QSignal2D``, the result.
+    """
+    _check_dims(f, plan.cfg)
+    g = plan.cfg.grid
+    t, h = _pointwise_sandwich(*f.to_symplectic(), *pre)
+    t, h = _pointwise_sandwich(*_dqft2_pair(t, h, sign), *post)
+    scale = 1.0 / math.sqrt(g.n1 * g.n2)
+    return QSignal2D.from_symplectic(t * scale, h * scale)
 
 
 def forward_fast(f: QSignal2D, plan: FastPlan) -> QSignal2D:
     """Fast two-sided transform; matches ``forward_direct`` to rounding."""
-    g = plan.cfg.grid
-    d = dqft2_via_fft(make_psi(f, plan))
-    t, h = _pointwise_sandwich(*d.to_symplectic(), plan.post1, plan.post2)
-    scale = 1.0 / math.sqrt(g.n1 * g.n2)
-    return QSignal2D.from_symplectic(t * scale, h * scale)
+    return _chirp_dft_chirp(f, plan, (plan.pre1, plan.pre2), (plan.post1, plan.post2), -1)
 
 
 def inverse_fast(F: QSignal2D, plan: FastPlan) -> QSignal2D:
     """Fast inverse: conjugated chirps around a sign-flipped FFT pipeline."""
-    _check_dims(F, plan.cfg)
-    g = plan.cfg.grid
-    t, h = _pointwise_sandwich(*F.to_symplectic(),
-                               np.conj(plan.post1), np.conj(plan.post2))
-    d = dqft2_via_fft(QSignal2D.from_symplectic(t, h), "inverse")
-    t, h = _pointwise_sandwich(*d.to_symplectic(),
-                               np.conj(plan.pre1), np.conj(plan.pre2))
-    scale = 1.0 / math.sqrt(g.n1 * g.n2)
-    return QSignal2D.from_symplectic(t * scale, h * scale)
-
-
-def _mixed_axis_grid(psi_tilde_fft: np.ndarray, psi_hat_fft: np.ndarray) -> QSignal2D:
-    """Quaternion grid FFT[tilde] + j * FFT[hat](-w1, w2) from the two FFTs."""
-    return QSignal2D.from_symplectic(psi_tilde_fft, _reflect(psi_hat_fft, 0))
-
-
-def alt_dqft2(psi: QSignal2D) -> QSignal2D:
-    """Diagnostic single-grid recombination of the two-sided DFT.
-
-    Forms the mixed-axis grid Psi from the two component FFTs and returns
-    ((1 - k) * Psi[w1, w2] + (1 + k) * Psi[w1, -w2]) / 2.  This textbook
-    shortcut is not equivalent to ``dqft2`` in general; it exists so the
-    verification harness can measure its deviation, never to compute.
-    """
-    t, h = psi.to_symplectic()
-    grid = _mixed_axis_grid(_fft2_raw(t, -1), _fft2_raw(h, -1))
-    c = grid.comps
-    cr = _reflect(c, 1)
-    one_minus_k = Quaternion(1.0, 0.0, 0.0, -1.0).to_array()
-    one_plus_k = Quaternion(1.0, 0.0, 0.0, 1.0).to_array()
-    out = 0.5 * (qmul(one_minus_k, c) + qmul(one_plus_k, cr))
-    return QSignal2D(out)
-
-
-def alt_recombination(psi_tilde_fft: np.ndarray, psi_hat_fft: np.ndarray,
-                      w1: int, w2: int) -> Quaternion:
-    """Single-sample version of ``alt_dqft2`` working from raw FFT grids."""
-    grid = _mixed_axis_grid(np.asarray(psi_tilde_fft, dtype=np.complex128),
-                            np.asarray(psi_hat_fft, dtype=np.complex128))
-    n2 = grid.n2
-    q = grid.at(w1, w2)
-    qr = grid.at(w1, (n2 - w2) % n2)
-    one_minus_k = Quaternion(1.0, 0.0, 0.0, -1.0)
-    one_plus_k = Quaternion(1.0, 0.0, 0.0, 1.0)
-    return (one_minus_k * q + one_plus_k * qr) * 0.5
+    return _chirp_dft_chirp(F, plan, (np.conj(plan.post1), np.conj(plan.post2)),
+                            (np.conj(plan.pre1), np.conj(plan.pre2)), +1)

@@ -1,12 +1,8 @@
-"""Complex 2D FFT engine used by the fast transform path.
+"""Complex 2D FFT used by the fast transform path.
 
-Power-of-two axis lengths run an iterative radix-2 Cooley-Tukey kernel;
-every other length goes through the Bluestein chirp-z reduction, which
-rewrites a length-N DFT as a circular convolution carried out with
-power-of-two FFTs of length >= 2N - 1.  Both kernels are vectorised
-over the non-transformed axis.
-
-The forward transform is unnormalised,
+Both directions run on ``numpy.fft`` (pocketfft), which handles every
+axis length, prime lengths included.  The forward transform is
+unnormalised,
 
     X[w1, w2] = sum_x x[x1, x2] * exp(-2j*pi*(x1*w1/N1 + x2*w2/N2)),
 
@@ -15,91 +11,16 @@ and the inverse carries the full 1/(N1*N2) factor.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 __all__ = ["fft2_complex"]
 
 
-@lru_cache(maxsize=64)
-def _bit_reversal(n: int) -> np.ndarray:
-    """Bit-reversal permutation for a power-of-two length n."""
-    rev = np.zeros(n, dtype=np.intp)
-    half = n >> 1
-    for i in range(1, n):
-        rev[i] = (rev[i >> 1] >> 1) | (half if (i & 1) else 0)
-    rev.flags.writeable = False
-    return rev
-
-
-@lru_cache(maxsize=256)
-def _twiddles(half: int, sign: int) -> np.ndarray:
-    tw = np.exp(sign * 1j * np.pi * np.arange(half) / half)
-    tw.flags.writeable = False
-    return tw
-
-
-def _fft_pow2(x: np.ndarray, sign: int) -> np.ndarray:
-    """Unnormalised radix-2 FFT along the last axis (length a power of two)."""
-    n = x.shape[-1]
-    if n == 1:
-        return x.copy()
-    y = x[..., _bit_reversal(n)]
-    half = 1
-    while half < n:
-        step = half * 2
-        tw = _twiddles(half, sign)
-        y = y.reshape(x.shape[:-1] + (n // step, step))
-        even = y[..., :half]
-        odd = y[..., half:] * tw
-        y = np.concatenate([even + odd, even - odd], axis=-1)
-        y = y.reshape(x.shape)
-        half = step
-    return y
-
-
-@lru_cache(maxsize=64)
-def _bluestein_tables(n: int, sign: int):
-    """Chirp and padded-chirp spectrum for a length-n Bluestein transform."""
-    m = 1 << (2 * n - 1).bit_length()
-    k = np.arange(n, dtype=np.int64)
-    # k*k mod 2n keeps the chirp phase small and exact for large n
-    w = np.exp(sign * 1j * np.pi * ((k * k) % (2 * n)) / n)
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(w)
-    if n > 1:
-        b[m - (n - 1):] = np.conj(w)[1:][::-1]
-    bf = _fft_pow2(b, -1)
-    w.flags.writeable = False
-    bf.flags.writeable = False
-    return m, w, bf
-
-
-def _fft_bluestein(x: np.ndarray, sign: int) -> np.ndarray:
-    """Arbitrary-length DFT along the last axis via the chirp-z identity."""
-    n = x.shape[-1]
-    m, w, bf = _bluestein_tables(n, sign)
-    a = np.zeros(x.shape[:-1] + (m,), dtype=np.complex128)
-    a[..., :n] = x * w
-    conv = _fft_pow2(_fft_pow2(a, -1) * bf, +1) / m
-    return conv[..., :n] * w
-
-
-def _fft1(x: np.ndarray, sign: int) -> np.ndarray:
-    n = x.shape[-1]
-    if n == 1:
-        return x.copy()
-    if n & (n - 1) == 0:
-        return _fft_pow2(x, sign)
-    return _fft_bluestein(x, sign)
-
-
 def _fft2_raw(x: np.ndarray, sign: int) -> np.ndarray:
     """Unnormalised 2D transform with the given exponent sign."""
-    y = _fft1(np.asarray(x, dtype=np.complex128), sign)
-    y = np.moveaxis(_fft1(np.ascontiguousarray(np.moveaxis(y, 0, -1)), sign), -1, 0)
-    return y
+    if sign < 0:
+        return np.fft.fft2(x)
+    return np.fft.ifft2(x, norm="forward")
 
 
 def fft2_complex(x, direction: str = "forward") -> np.ndarray:
@@ -108,7 +29,7 @@ def fft2_complex(x, direction: str = "forward") -> np.ndarray:
     if x.ndim != 2:
         raise ValueError(f"expected a 2D array, got shape {x.shape}")
     if direction == "forward":
-        return _fft2_raw(x, -1)
+        return np.fft.fft2(x)
     if direction == "inverse":
-        return _fft2_raw(x, +1) / (x.shape[0] * x.shape[1])
+        return np.fft.ifft2(x)
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")

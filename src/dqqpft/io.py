@@ -53,8 +53,8 @@ class PpmError(ValueError):
     """Unsupported or malformed PPM content."""
 
 
-def _payload_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _payload_lines(raw_lines: list[str]):
+    for lineno, raw in enumerate(raw_lines, start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -77,8 +77,8 @@ def _split_floats(lineno: int, text: str, count: int, what: str) -> list[float]:
 def read_qcsv(path) -> tuple[QSignal2D, TransformConfig]:
     """Load a quaternion grid and the transform config stored with it."""
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = _payload_lines(text)
+        raw_lines = fh.read().splitlines()
+    lines = _payload_lines(raw_lines)
 
     def next_line(what: str):
         try:
@@ -106,7 +106,8 @@ def read_qcsv(path) -> tuple[QSignal2D, TransformConfig]:
     except ParameterError as exc:
         raise QcsvError(lineno, str(exc)) from None
 
-    comps = np.empty((n1 * n2, 4))
+    # the header is untrusted: never reserve more rows than the file has lines
+    comps = np.empty((min(n1 * n2, len(raw_lines)), 4))
     count = 0
     last_line = lineno
     for lineno, body in lines:

@@ -44,13 +44,19 @@ def test_forward_then_inverse_reproduces_input(tmp_path):
     assert got_cfg.p1 == cfg.p1  # params travel through the pipeline
 
 
-def test_explicit_params_flag(tmp_path, example_qcsv):
-    out = tmp_path / "spec.qcsv"
-    rc = main(["forward", "--params", "0,1,0,0,0:0,1,0,0,0",
-               "--in", str(example_qcsv), "--out", str(out)])
-    assert rc == 0
-    spec, _ = read_qcsv(out)
-    np.testing.assert_allclose(spec.w, [[55.0, 5.0], [10.0, 0.0]], atol=1e-12)
+@pytest.mark.parametrize("pair", ["0,1,0,0,0:0,1,0,0,0", "-0.3,1,0,0,0:0.2,1,0,0,0"],
+                         ids=["qft", "negative-a1"])
+def test_explicit_params_flag(tmp_path, example_qcsv, pair):
+    spaced = tmp_path / "spaced.qcsv"
+    joined = tmp_path / "joined.qcsv"
+    assert main(["forward", "--params", pair,
+                 "--in", str(example_qcsv), "--out", str(spaced)]) == 0
+    assert main(["forward", f"--params={pair}",
+                 "--in", str(example_qcsv), "--out", str(joined)]) == 0
+    spec, _ = read_qcsv(spaced)
+    np.testing.assert_array_equal(spec.comps, read_qcsv(joined)[0].comps)
+    if pair.startswith("0,"):
+        np.testing.assert_allclose(spec.w, [[55.0, 5.0], [10.0, 0.0]], atol=1e-12)
 
 
 def test_ppm_forward_and_inverse(tmp_path):
@@ -94,6 +100,9 @@ def test_io_errors_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.qcsv"
     bad.write_text("2,2\n1,1\n0,0,0,0,0:0,1,0,0,0\n" + "1,0,0,0\n" * 4)
     assert main(["forward", "--in", str(bad), "--out", str(out)]) == 3
+    huge = tmp_path / "huge.qcsv"
+    huge.write_text("100000,100000\n1,1\n0,1,0,0,0:0,1,0,0,0\n1,0,0,0\n")
+    assert main(["inverse", "--in", str(huge), "--out", str(out)]) == 3
     capsys.readouterr()
 
 

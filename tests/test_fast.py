@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from dqqpft.fast import (
-    alt_dqft2,
-    alt_recombination,
     dqft2_via_fft,
     forward_fast,
     inverse_fast,
@@ -23,6 +21,7 @@ from dqqpft.transform import (
     inverse_direct,
     make_config,
 )
+from dqqpft.verify import _alt_dqft2, _alt_recombination, _mixed_axis_grid
 from oracles import rand_params, rand_signal
 
 EXAMPLE_IN = [[35.0, 30.0], [25.0, 20.0]]
@@ -134,7 +133,8 @@ def test_forward_fast_zero():
 
 def test_forward_fast_matches_direct_across_shapes():
     rng = np.random.default_rng(7)
-    for n1, n2 in [(2, 2), (4, 4), (6, 10), (8, 8), (16, 16), (5, 9), (1, 7)]:
+    for n1, n2 in [(2, 2), (4, 4), (6, 10), (8, 8), (16, 16), (5, 9), (1, 7),
+                   (257, 3), (2, 251), (64, 48)]:
         cfg = rand_cfg(rng, n1, n2)
         f = rand_signal(rng, n1, n2)
         dev = rel_deviation(forward_fast(f, make_plan(cfg)), forward_direct(f, cfg))
@@ -158,12 +158,13 @@ def test_inverse_fast_matches_inverse_direct():
 
 def test_fast_roundtrip():
     rng = np.random.default_rng(9)
-    for _ in range(6):
-        n1, n2 = (int(v) for v in rng.integers(2, 13, size=2))
-        cfg = rand_cfg(rng, n1, n2)
-        plan = make_plan(cfg)
+    shapes = [tuple(int(v) for v in rng.integers(2, 13, size=2)) for _ in range(6)]
+    for n1, n2 in shapes + [(257, 257), (96, 250), (1024, 1024)]:
+        plan = make_plan(rand_cfg(rng, n1, n2))
         f = rand_signal(rng, n1, n2)
-        assert rel_deviation(inverse_fast(forward_fast(f, plan), plan), f) < 1e-10
+        F = forward_fast(f, plan)
+        assert rel_deviation(inverse_fast(F, plan), f) < 1e-10
+        assert abs(energy(F) - energy(f)) < 1e-10 * energy(f)
 
 
 # --- diagnostic recombination ------------------------------------------------
@@ -178,8 +179,7 @@ def test_alt_recombination_collapses_for_axis2_even_real_signal():
     t, h = psi.to_symplectic()
     pt = fft2_complex(t)
     ph = fft2_complex(h)
-    got = alt_dqft2(psi)
-    from dqqpft.fast import _mixed_axis_grid
+    got = _alt_dqft2(psi)
     want = _mixed_axis_grid(pt, ph)
     assert max_deviation(got, want) < 1e-10
 
@@ -190,15 +190,15 @@ def test_alt_recombination_pointwise_matches_grid():
     t, h = psi.to_symplectic()
     pt = fft2_complex(t)
     ph = fft2_complex(h)
-    grid = alt_dqft2(psi)
+    grid = _alt_dqft2(psi)
     for w1 in range(3):
         for w2 in range(4):
-            q = alt_recombination(pt, ph, w1, w2)
+            q = _alt_recombination(pt, ph, w1, w2)
             assert (q - grid.at(w1, w2)).norm() < 1e-12
 
 
 def test_alt_recombination_deviation_is_recorded_not_asserted():
     rng = np.random.default_rng(12)
     psi = rand_signal(rng, 4, 4)
-    dev = rel_deviation(alt_dqft2(psi), dqft2(psi))
+    dev = rel_deviation(_alt_dqft2(psi), dqft2(psi))
     assert math.isfinite(dev)  # measured only; no equality claim

@@ -24,7 +24,8 @@ def test_single_sample():
 
 def test_matches_naive_dft_on_mixed_sizes():
     rng = np.random.default_rng(0)
-    for n1, n2 in [(6, 10), (2, 2), (8, 8), (5, 7), (1, 13), (16, 3), (12, 12)]:
+    for n1, n2 in [(6, 10), (2, 2), (8, 8), (5, 7), (1, 13), (16, 3), (12, 12),
+                   (257, 3), (3, 251)]:
         x = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
         got = fft2_complex(x)
         want = naive_dft2(x, -1)

@@ -43,6 +43,13 @@ def test_qcsv_truncated_body_names_missing_line(tmp_path):
         read_qcsv(path)
     assert "missing sample 3 of 4" in str(err.value)
     assert err.value.line == 8  # one past the last body line
+    # a huge header over a one-sample body fails the same way, without
+    # reserving memory for the 10**10 samples the header claims
+    path.write_text("100000,100000\n1,1\n0,1,0,0,0:0,1,0,0,0\n1,0,0,0\n")
+    with pytest.raises(QcsvError) as err:
+        read_qcsv(path)
+    assert "missing sample 1 of 10000000000" in str(err.value)
+    assert err.value.line == 5
 
 
 def test_qcsv_extra_body_line(tmp_path):

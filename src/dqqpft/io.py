@@ -9,9 +9,16 @@ qcsv is a line-oriented text format.  After optional comment lines
     w,x,y,z          (n1*n2 sample lines, row-major: x1 outer, x2 inner)
 
 Values are written with 17 significant digits so a write/read round
-trip reproduces every float64 bit-exactly.
+trip reproduces every float64 bit-exactly.  The writer formats the samples
+in blocks of rows with one C-level ``%`` per block.  The reader parses the
+header line by line, then hands the sample lines to one ``numpy.loadtxt``
+call; the result is kept only if it has exactly n1*n2 rows of four finite
+values.  Any other body (comments or blank lines among the samples,
+malformed or non-finite values, a wrong count) is parsed again line by
+line, and that loop alone raises the sample errors, naming the bad line.
 
-PPM support covers the 8-bit P3 (ASCII) and P6 (binary) flavours.  The
+PPM support covers the 8-bit P3 (ASCII) and P6 (binary) flavours; a P3
+raster is tokenised in bulk with one regular expression.  The
 "pure" mapping stores pixel (R, G, B) in the (x, y, z) components with
 w = 0; "luminance" stores the channel mean in w (exact for grey pixels).
 On write, channels are rounded and clamped to [0, 255].
@@ -20,6 +27,7 @@ On write, channels are rounded and clamped to [0, 255].
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -38,6 +46,11 @@ __all__ = [
 ]
 
 MAPPINGS = ("pure", "luminance")
+
+_SAMPLE_FORMAT = "%.17g,%.17g,%.17g,%.17g\n"
+_WRITE_BLOCK_ROWS = 1 << 16
+# a PPM token, or a comment: '#' opens one only at the start of a token
+_PPM_TOKEN = re.compile(rb"#[^\r\n]*|[^ \t\r\n]+")
 
 
 class QcsvError(ValueError):
@@ -74,6 +87,48 @@ def _split_floats(lineno: int, text: str, count: int, what: str) -> list[float]:
     return out
 
 
+def _loadtxt_body(body: list[str], count: int) -> np.ndarray | None:
+    """The samples parsed in C, or None when ``_loop_body`` must decide.
+
+    With ``comments=None`` numpy skips only empty lines and parses a field
+    only where ``float`` does, to the same bits, so an accepted body is one
+    the loop accepts with the same values.
+    """
+    if len(body) < count or not any(body):  # loadtxt warns on an all-empty body
+        return None
+    try:
+        comps = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if comps.shape != (count, 4) or not np.isfinite(comps).all():
+        return None
+    return comps
+
+
+def _loop_body(lines, lineno: int, count: int, max_rows: int) -> np.ndarray:
+    """Parse the sample lines one by one; raises the sample ``QcsvError``s.
+
+    ``lines`` yields (line number, text) pairs; ``lineno`` is the last
+    header line, cited when the body is empty.
+    """
+    # the header is untrusted: never reserve more rows than the file has lines
+    comps = np.empty((min(count, max_rows), 4))
+    seen = 0
+    last_line = lineno
+    for lineno, body in lines:
+        if seen >= count:
+            raise QcsvError(lineno, f"extra sample line; expected exactly {count}")
+        vals = _split_floats(lineno, body, 4, f"sample {seen}")
+        if not all(math.isfinite(v) for v in vals):
+            raise QcsvError(lineno, f"sample {seen} holds a non-finite value")
+        comps[seen] = vals
+        seen += 1
+        last_line = lineno
+    if seen < count:
+        raise QcsvError(last_line + 1, f"missing sample {seen} of {count} (body truncated)")
+    return comps
+
+
 def read_qcsv(path) -> tuple[QSignal2D, TransformConfig]:
     """Load a quaternion grid and the transform config stored with it."""
     with open(path, "r", encoding="ascii") as fh:
@@ -106,22 +161,9 @@ def read_qcsv(path) -> tuple[QSignal2D, TransformConfig]:
     except ParameterError as exc:
         raise QcsvError(lineno, str(exc)) from None
 
-    # the header is untrusted: never reserve more rows than the file has lines
-    comps = np.empty((min(n1 * n2, len(raw_lines)), 4))
-    count = 0
-    last_line = lineno
-    for lineno, body in lines:
-        if count >= n1 * n2:
-            raise QcsvError(lineno, f"extra sample line; expected exactly {n1 * n2}")
-        vals = _split_floats(lineno, body, 4, f"sample {count}")
-        if not all(math.isfinite(v) for v in vals):
-            raise QcsvError(lineno, f"sample {count} holds a non-finite value")
-        comps[count] = vals
-        count += 1
-        last_line = lineno
-    if count < n1 * n2:
-        raise QcsvError(last_line + 1,
-                        f"missing sample {count} of {n1 * n2} (body truncated)")
+    comps = _loadtxt_body(raw_lines[lineno:], n1 * n2)
+    if comps is None:
+        comps = _loop_body(lines, lineno, n1 * n2, len(raw_lines))
 
     try:
         grid = make_grid(n1, n2, dt1, dt2, p1, p2)
@@ -135,16 +177,19 @@ def write_qcsv(path, signal: QSignal2D, cfg: TransformConfig) -> None:
     g = cfg.grid
     if (signal.n1, signal.n2) != (g.n1, g.n2):
         raise ValueError(f"signal shape {signal.shape} does not match grid {(g.n1, g.n2)}")
-    rows = [
+    header = [
         "# dqqpft qcsv: n1,n2 / dt1,dt2 / params / w,x,y,z samples",
         f"{g.n1},{g.n2}",
         f"{g.dt1:.17g},{g.dt2:.17g}",
         format_param_pair(cfg.p1, cfg.p2),
     ]
     flat = signal.comps.reshape(-1, 4)
-    rows.extend(",".join(f"{v:.17g}" for v in sample) for sample in flat)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("\n".join(header) + "\n")
+        # bounded blocks: the file is never held as one string
+        for start in range(0, len(flat), _WRITE_BLOCK_ROWS):
+            block = flat[start:start + _WRITE_BLOCK_ROWS]
+            fh.write(_SAMPLE_FORMAT * len(block) % tuple(block.ravel().tolist()))
 
 
 def _check_mapping(mapping: str):
@@ -153,23 +198,14 @@ def _check_mapping(mapping: str):
 
 
 def _ppm_tokens(data: bytes):
-    """Whitespace/comment-aware token stream over a PPM header or P3 body."""
-    pos = 0
-    n = len(data)
-    while pos < n:
-        ch = data[pos:pos + 1]
-        if ch in b" \t\r\n":
-            pos += 1
-            continue
-        if ch == b"#":
-            while pos < n and data[pos:pos + 1] not in b"\r\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < n and data[pos:pos + 1] not in b" \t\r\n":
-            pos += 1
-        yield data[start:pos].decode("ascii"), pos
-    return
+    """(token, end offset) pairs of a PPM header.
+
+    Whitespace is exactly space, tab, CR and LF; a '#' that starts a token
+    opens a comment running to the end of the line.
+    """
+    for m in _PPM_TOKEN.finditer(data):
+        if not m.group().startswith(b"#"):
+            yield m.group().decode("ascii"), m.end()
 
 
 def read_image_ppm(path, mapping: str = "pure") -> QSignal2D:
@@ -207,17 +243,15 @@ def read_image_ppm(path, mapping: str = "pure") -> QSignal2D:
             raise PpmError(f"truncated raster: expected {count} bytes, found {len(raster)}")
         pix = np.frombuffer(raster, dtype=np.uint8).astype(np.float64)
     else:
-        vals = []
-        for tok, _ in tokens:
-            vals.append(tok)
-            if len(vals) == count:
-                break
-        if len(vals) != count:
+        vals = [t for t in _PPM_TOKEN.findall(data, end) if t[:1] != b"#"]
+        if len(vals) < count:
             raise PpmError(f"truncated raster: expected {count} values, found {len(vals)}")
         try:
-            pix = np.array([int(v) for v in vals], dtype=np.float64)
+            pix = np.array(list(map(int, vals[:count])), dtype=np.float64)
         except ValueError:
             raise PpmError("raster holds a non-integer value") from None
+        except OverflowError:  # an integer past the float64 range
+            raise PpmError("raster value out of the 8-bit range") from None
         if np.any(pix < 0) or np.any(pix > 255):
             raise PpmError("raster value out of the 8-bit range")
     rgb = pix.reshape(height, width, 3)

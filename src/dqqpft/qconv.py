@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fast import forward_fast, make_plan
 from .quaternion import qmul, qnorm_sq
 from .signal import QSignal2D
-from .transform import TransformConfig, _check_dims, forward_direct
+from .transform import TransformConfig, _check_dims
 
 __all__ = ["ConvReport", "qp_convolve", "conv_theorem_rhs", "conv_theorem_check"]
 
@@ -94,12 +95,13 @@ def conv_theorem_rhs(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSigna
     """
     _check_pair(f, g, cfg)
     g1, g2 = cfg.grid.n1, cfg.grid.n2
-    qg = forward_direct(g, cfg).comps
+    plan = make_plan(cfg)
+    qg = forward_fast(g, plan).comps
     units = np.eye(4)
     acc = np.zeros((g1, g2, 4))
     for n in range(4):
         comp = QSignal2D.from_real(f.comps[..., n])
-        qn = forward_direct(comp, cfg).comps
+        qn = forward_fast(comp, plan).comps
         acc = acc + qmul(qmul(units[n], qn), qg)
     w1 = np.arange(g1)
     w2 = np.arange(g2)
@@ -122,7 +124,7 @@ def conv_theorem_check(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> Conv
     factorisation is only an identity in the restricted regime the
     docstring of this module describes.
     """
-    lhs = forward_direct(qp_convolve(f, g, cfg), cfg)
+    lhs = forward_fast(qp_convolve(f, g, cfg), make_plan(cfg))
     rhs = conv_theorem_rhs(f, g, cfg)
     diff = float(np.sqrt(np.max(qnorm_sq(lhs.comps - rhs.comps))))
     scale = float(np.sqrt(np.max(qnorm_sq(lhs.comps))))

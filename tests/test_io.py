@@ -4,12 +4,14 @@ import pytest
 from dqqpft.io import (
     PpmError,
     QcsvError,
+    _loadtxt_body,
+    _loop_body,
     read_image_ppm,
     read_qcsv,
     write_image_ppm,
     write_qcsv,
 )
-from dqqpft.params import preset_qft
+from dqqpft.params import format_param_pair, preset_qft
 from dqqpft.signal import QSignal2D
 from dqqpft.transform import make_config
 from oracles import rand_params, rand_signal
@@ -102,6 +104,75 @@ def test_qcsv_comments_and_blank_lines_ignored(tmp_path):
     assert sig.at(0, 0).w == 7.0
 
 
+def wide_range_comps(rng, n1, n2):
+    """Samples whose exponents span most of the float64 range."""
+    return rng.standard_normal((n1, n2, 4)) * 10.0 ** rng.integers(-300, 300, size=(n1, n2, 4))
+
+
+@pytest.mark.parametrize("n1, n2", [(257, 3), (257, 257)])  # 257**2 rows span two write blocks
+def test_write_qcsv_matches_per_value_formatting(tmp_path, n1, n2):
+    rng = np.random.default_rng(10)
+    cfg = rand_cfg(rng, n1, n2)
+    comps = wide_range_comps(rng, n1, n2)
+    comps.flat[:6] = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+    path = tmp_path / "sig.qcsv"
+    write_qcsv(path, QSignal2D(comps), cfg)
+    g = cfg.grid
+    rows = [
+        "# dqqpft qcsv: n1,n2 / dt1,dt2 / params / w,x,y,z samples",
+        f"{g.n1},{g.n2}",
+        f"{g.dt1:.17g},{g.dt2:.17g}",
+        format_param_pair(cfg.p1, cfg.p2),
+    ]
+    rows.extend(",".join(f"{v:.17g}" for v in sample) for sample in comps.reshape(-1, 4))
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+
+
+def test_qcsv_roundtrip_is_bit_exact_at_96x250(tmp_path):
+    rng = np.random.default_rng(11)
+    cfg = rand_cfg(rng, 96, 250)
+    sig = QSignal2D(wide_range_comps(rng, 96, 250))
+    path = tmp_path / "sig.qcsv"
+    write_qcsv(path, sig, cfg)
+    back, _ = read_qcsv(path)
+    np.testing.assert_array_equal(back.comps, sig.comps)
+    # numpy.loadtxt parses this body, to the same values as the line loop
+    body = path.read_text().splitlines()[4:]
+    fast = _loadtxt_body(body, 96 * 250)
+    assert fast is not None
+    np.testing.assert_array_equal(fast, _loop_body(enumerate(body, start=5), 4, 96 * 250, len(body)))
+
+
+HEADER_2X2 = "2,2\n1,1\n0,1,0,0,0:0,1,0,0,0\n"  # samples start on line 4
+
+
+@pytest.mark.parametrize("body", [
+    "1_0,0,0,0\n2,0,0,0\n3,0,0,0\n4,0,0,0\n",
+    "10,0,0,0\r\n2,0,0,0\r\n3,0,0,0\r\n4,0,0,0\r\n",
+    "10,0,0,0\n2,0,0,0\n# mid-body comment\n\n3,0,0,0\n4,0,0,0\n",
+], ids=["underscore-digits", "crlf", "comment-and-blank-line"])
+def test_qcsv_bodies_outside_loadtxt_are_accepted(tmp_path, body):
+    path = tmp_path / "ok.qcsv"
+    path.write_bytes((HEADER_2X2 + body).encode("ascii"))
+    sig, _ = read_qcsv(path)
+    np.testing.assert_array_equal(sig.w, [[10.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("1,0,0,0\n2,0,0,0 # c\n3,0,0,0\n4,0,0,0\n", 5, "is not a number"),
+    ("1,0,0,0,0\n" * 4, 4, "expected 4"),
+    ("1,0,0\n" * 4, 4, "expected 4"),
+    ("1,0,0,0\ninf,0,0,0\n3,0,0,0\n4,0,0,0\n", 5, "non-finite"),
+    ("1,0,0,0\n2,0,0,0\n3,0,1e400,0\n4,0,0,0\n", 6, "non-finite"),
+], ids=["inline-comment", "five-columns", "three-columns", "inf", "overflow"])
+def test_qcsv_bad_body_cites_its_line(tmp_path, body, line, message):
+    path = tmp_path / "bad.qcsv"
+    path.write_text(HEADER_2X2 + body)
+    with pytest.raises(QcsvError, match=message) as err:
+        read_qcsv(path)
+    assert err.value.line == line
+
+
 def test_ppm_binary_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     rgb = rng.integers(0, 256, size=(5, 7, 3))
@@ -121,6 +192,39 @@ def test_ppm_ascii_roundtrip(tmp_path):
     assert path.read_bytes().startswith(b"P3")
     back = read_image_ppm(path, "pure")
     np.testing.assert_array_equal(back.comps, sig.comps)
+
+
+def test_ppm_ascii_matches_binary_at_256x512(tmp_path):
+    rng = np.random.default_rng(12)
+    rgb = rng.integers(0, 256, size=(256, 512, 3))
+    sig = QSignal2D.from_components(np.zeros((256, 512)), rgb[..., 0], rgb[..., 1], rgb[..., 2])
+    write_image_ppm(tmp_path / "img3.ppm", sig, "pure", magic="P3")
+    write_image_ppm(tmp_path / "img6.ppm", sig, "pure", magic="P6")
+    p3 = read_image_ppm(tmp_path / "img3.ppm", "pure")
+    np.testing.assert_array_equal(p3.comps, read_image_ppm(tmp_path / "img6.ppm", "pure").comps)
+    np.testing.assert_array_equal(p3.comps, sig.comps)
+
+
+def test_ppm_ascii_raster_comments_and_trailing_tokens(tmp_path):
+    path = tmp_path / "img.ppm"
+    # a '#' opens a comment only at the start of a token; tokens after the
+    # last sample are never parsed
+    path.write_bytes(b"P3\n2 1\n255\n1 2 3\r\n# 7 7 7\r\n4\t5 6 #x\n junk 12#34 999\n")
+    sig = read_image_ppm(path, "pure")
+    np.testing.assert_array_equal(sig.comps, [[[0, 1, 2, 3], [0, 4, 5, 6]]])
+
+
+@pytest.mark.parametrize("raster, message", [
+    (b"1 2 12#34", "non-integer"),
+    (b"1 2 256", "8-bit range"),
+    (b"1 2 " + b"9" * 400, "8-bit range"),
+    (b"1 2 # 3", "truncated raster: expected 3 values, found 2"),
+], ids=["hash-inside-token", "256", "past-float64", "truncated"])
+def test_ppm_ascii_raster_errors(tmp_path, raster, message):
+    path = tmp_path / "img.ppm"
+    path.write_bytes(b"P3\n1 1\n255\n" + raster + b"\n")
+    with pytest.raises(PpmError, match=message):
+        read_image_ppm(path)
 
 
 def test_ppm_luminance_grey_example(tmp_path):

@@ -143,11 +143,25 @@ def _cmd_inverse(args) -> int:
     return 0
 
 
+def _check_conv_headers(cfg1: TransformConfig | None, cfg2: TransformConfig | None):
+    """Two qcsv operands must agree on the header fields the convolution uses."""
+    if cfg1 is None or cfg2 is None:
+        return
+    fields = (("dt", (cfg1.grid.dt1, cfg1.grid.dt2), (cfg2.grid.dt1, cfg2.grid.dt2)),
+              ("params", (cfg1.p1, cfg1.p2), (cfg2.p1, cfg2.p2)))
+    for name, first, second in fields:
+        if first != second:
+            raise UsageError(f"--in and --in2 headers differ in {name}; "
+                             "pass --params, --preset or --dt to choose")
+
+
 def _cmd_conv(args) -> int:
     f, header_cfg = _load_signal(args.infile, "pure")
-    g, _ = _load_signal(args.infile2, "pure")
+    g, header_cfg2 = _load_signal(args.infile2, "pure")
     if f.shape != g.shape:
         raise UsageError(f"operand shapes differ: {f.shape} vs {g.shape}")
+    if not (args.params or args.preset or args.dt):
+        _check_conv_headers(header_cfg, header_cfg2)
     args.mapping = "pure"
     cfg = _resolve_config(args, header_cfg, f.n1, f.n2)
     out = qp_convolve(f, g, cfg)

@@ -3,11 +3,15 @@
 The convolution weights each term of a circular convolution with the
 time chirps exp(-2i*a1*z1*(z1-x1)*dt1^2) on the left of f and
 exp(-2j*a2*z2*(z2-x2)*dt2^2) on the right of g, which is exactly what
-makes the cross terms of the transform kernels cancel.  The companion
-factorisation (``conv_theorem_rhs``) holds as an equality only in a
-restricted regime (time chirps N-periodic, f in the i-complex subfield,
-the spectrum of g real); ``conv_theorem_check`` therefore reports
-deviations instead of enforcing them.
+makes the cross terms of the transform kernels cancel.  ``qp_convolve``
+evaluates that sum in full, O((N1*N2)^2) flops in O(N1*N2) memory: a
+loop over column blocks min(N1, N2) wide and over output rows, each step
+one complex matrix product on the symplectic pair.  A unit impulse as
+either operand still reproduces the other bit for bit (see its
+docstring).  The companion factorisation (``conv_theorem_rhs``) holds as
+an equality only in a restricted regime (time chirps N-periodic, f in
+the i-complex subfield, the spectrum of g real); ``conv_theorem_check``
+therefore reports deviations instead of enforcing them.
 """
 
 from __future__ import annotations
@@ -58,6 +62,21 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
 
     The second operand is indexed circularly, so the unit impulse at the
     origin is a two-sided identity.
+
+    The sum is evaluated in full, O((N1*N2)^2) flops, as complex matrix
+    products over the pair q = t + u*j (t = w + x*i, u = y + z*i).  In
+    that form the left i-chirp scales t and u alike, the right j-chirp
+    c - s*j maps (t, u) to (c*t + s*u, c*u - s*t), and p*q has the parts
+    p_t*q_t - p_u*conj(q_u) and p_t*q_u + p_u*conj(q_t).  For each output
+    row x1 and each block of columns m = (x2 - z2) mod N2, one matrix
+    product sums over z1 the chirped rows of f against the rows
+    (x1 - z1) mod N1 of g; the right chirp then weights each partial sum
+    S[z2, m] and ``np.bincount`` adds it into column (z2 + m) mod N2.
+    Blocks are min(N1, N2) columns wide, so no buffer grows past a few
+    times N1*N2 entries.  With a unit impulse as either operand every sum
+    has one nonzero term, weighted by exactly cos(0) = 1 and sin(0) = 0,
+    so the result reproduces the other operand bit for bit in any
+    summation order.
     """
     _check_pair(f, g, cfg)
     n1, n2 = f.n1, f.n2
@@ -65,24 +84,31 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     dt2sq = cfg.grid.dt2 ** 2
     a1, a2 = cfg.p1.a, cfg.p2.a
     z1 = np.arange(n1)
-    z2 = np.arange(n2)
-    fc = f.comps
-    gc = g.comps
-    out = np.empty((n1, n2, 4))
-    wl = np.zeros((n1, 4))
-    wr = np.zeros((n2, 4))
-    for x1 in range(n1):
-        th1 = 2.0 * a1 * z1 * (z1 - x1) * dt1sq
-        wl[:, 0] = np.cos(th1)
-        wl[:, 1] = -np.sin(th1)
-        rows = gc[(x1 - z1) % n1]
-        for x2 in range(n2):
-            th2 = 2.0 * a2 * z2 * (z2 - x2) * dt2sq
-            wr[:, 0] = np.cos(th2)
-            wr[:, 2] = -np.sin(th2)
-            gb = rows[:, (x2 - z2) % n2]
-            term = qmul(qmul(qmul(wl[:, None, :], fc), gb), wr[None, :, :])
-            out[x1, x2] = term.sum(axis=(0, 1))
+    z2 = np.arange(n2)[:, None]
+    # the (w, x, y, z) axis read as the complex pair (t, u)
+    fp = f.comps.view(np.complex128).transpose(0, 2, 1)
+    gp = g.comps.view(np.complex128)
+    out = np.zeros((n1, n2, 4))
+    width = min(n1, n2)
+    for m0 in range(0, n2, width):
+        x2 = (z2 + np.arange(m0, min(m0 + width, n2))) % n2
+        th2 = 2.0 * a2 * z2 * (z2 - x2) * dt2sq
+        c, s = np.cos(th2), np.sin(th2)
+        # bincount bin of each real component of the weighted S[z2, m]
+        bins = (4 * x2[..., None] + np.arange(4)).ravel()
+        gt, gu = gp[:, m0:m0 + width, 0], gp[:, m0:m0 + width, 1]
+        # row (z1, p) holds what f_p[z1] multiplies into (S_t | S_u)
+        gb = np.stack((np.concatenate((gt, gu), axis=1),
+                       np.concatenate((-gu.conj(), gt.conj()), axis=1)), axis=1)
+        for x1 in range(n1):
+            th1 = 2.0 * a1 * z1 * (z1 - x1) * dt1sq
+            alpha = np.cos(th1) - 1j * np.sin(th1)
+            lhs = (alpha[:, None, None] * fp).reshape(2 * n1, n2)
+            rhs = gb[(x1 - z1) % n1].reshape(2 * n1, -1)
+            st, su = np.split(lhs.T @ rhs, 2, axis=1)
+            terms = np.stack((c * st + s * su, c * su - s * st), axis=-1)
+            out[x1] += np.bincount(bins, weights=terms.view(np.float64).ravel(),
+                                   minlength=4 * n2).reshape(n2, 4)
     return QSignal2D(out)
 
 

@@ -1,8 +1,9 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately written with scalar quaternion
-arithmetic or explicit kernel matrices, never through the vectorised
-production code paths it is checking.
+arithmetic, explicit kernel matrices or, for ``loop_qp_convolve``, the
+per-output ``qmul`` loop the matrix form of ``qp_convolve`` replaced,
+never through the vectorised production code paths it is checking.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 
 from dqqpft.params import ParamSet
-from dqqpft.quaternion import Quaternion
+from dqqpft.quaternion import Quaternion, qmul
 from dqqpft.signal import QSignal2D
 
 
@@ -115,6 +116,34 @@ def brute_qp_convolve(f: QSignal2D, g: QSignal2D, cfg) -> QSignal2D:
                     acc = acc + wl * f.at(z1, z2) \
                         * g.at((x1 - z1) % n1, (x2 - z2) % n2) * wr
             out[x1, x2] = acc.to_array()
+    return QSignal2D(out)
+
+
+def loop_qp_convolve(f: QSignal2D, g: QSignal2D, cfg) -> QSignal2D:
+    """One output sample per iteration, three vectorised ``qmul`` calls each."""
+    n1, n2 = f.n1, f.n2
+    dt1sq = cfg.grid.dt1 ** 2
+    dt2sq = cfg.grid.dt2 ** 2
+    a1, a2 = cfg.p1.a, cfg.p2.a
+    z1 = np.arange(n1)
+    z2 = np.arange(n2)
+    fc = f.comps
+    gc = g.comps
+    out = np.empty((n1, n2, 4))
+    wl = np.zeros((n1, 4))
+    wr = np.zeros((n2, 4))
+    for x1 in range(n1):
+        th1 = 2.0 * a1 * z1 * (z1 - x1) * dt1sq
+        wl[:, 0] = np.cos(th1)
+        wl[:, 1] = -np.sin(th1)
+        rows = gc[(x1 - z1) % n1]
+        for x2 in range(n2):
+            th2 = 2.0 * a2 * z2 * (z2 - x2) * dt2sq
+            wr[:, 0] = np.cos(th2)
+            wr[:, 2] = -np.sin(th2)
+            gb = rows[:, (x2 - z2) % n2]
+            term = qmul(qmul(qmul(wl[:, None, :], fc), gb), wr[None, :, :])
+            out[x1, x2] = term.sum(axis=(0, 1))
     return QSignal2D(out)
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from dqqpft.cli import main
 from dqqpft.io import read_qcsv, write_qcsv
-from dqqpft.params import preset_qft
+from dqqpft.params import parse_param_pair, preset_qft
+from dqqpft.qconv import qp_convolve
 from dqqpft.signal import QSignal2D, rel_deviation
 from dqqpft.transform import make_config
 from oracles import rand_params, rand_signal
@@ -124,6 +125,56 @@ def test_conv_shape_mismatch_is_usage_error(tmp_path, example_qcsv):
     rc = main(["conv", "--in", str(example_qcsv), "--in2", str(other),
                "--out", str(tmp_path / "o.qcsv")])
     assert rc == 2
+
+
+def _conv_pair(tmp_path, cfg1, cfg2, n1=5, n2=9):
+    rng = np.random.default_rng(11)
+    paths = tmp_path / "f.qcsv", tmp_path / "g.qcsv"
+    for path, cfg in zip(paths, (cfg1, cfg2)):
+        write_qcsv(path, rand_signal(rng, n1, n2), cfg)
+    return paths
+
+
+def test_conv_rectangular_chirped_grid(tmp_path, capsys):
+    pair = "-0.3,1.1,0.2,0,0:0.4,-0.8,0,0.1,0"
+    p1, p2 = preset_qft()
+    fpath, gpath = _conv_pair(tmp_path, make_config(p1, p2, 5, 9, 0.5, 1.25),
+                              make_config(p1, p2, 5, 9, 0.5, 1.25))
+    out = tmp_path / "conv.qcsv"
+    rc = main(["conv", f"--params={pair}", "--in", str(fpath), "--in2", str(gpath),
+               "--out", str(out), "--check"])
+    assert rc == 0
+    assert "max_rel_deviation" in capsys.readouterr().out
+    got, got_cfg = read_qcsv(out)
+    cfg = make_config(*parse_param_pair(pair), 5, 9, 0.5, 1.25)
+    assert got_cfg == cfg
+    want = qp_convolve(read_qcsv(fpath)[0], read_qcsv(gpath)[0], cfg)
+    np.testing.assert_array_equal(got.comps, want.comps)
+
+
+@pytest.mark.parametrize("field", ["dt", "params"])
+def test_conv_header_mismatch_is_usage_error(tmp_path, capsys, field):
+    p1, p2 = preset_qft()
+    q1, q2 = (parse_param_pair("0.2,1,0,0,0:0,1,0,0,0") if field == "params" else (p1, p2))
+    dt2 = 0.5 if field == "dt" else 1.0
+    fpath, gpath = _conv_pair(tmp_path, make_config(p1, p2, 5, 9),
+                              make_config(q1, q2, 5, 9, 1.0, dt2))
+    rc = main(["conv", "--in", str(fpath), "--in2", str(gpath),
+               "--out", str(tmp_path / "o.qcsv")])
+    assert rc == 2
+    assert f"differ in {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--params=0,1,0,0,0:0,1,0,0,0", "--preset=qft", "--dt=1,1"])
+def test_conv_flags_override_header_mismatch(tmp_path, flag):
+    p1, p2 = preset_qft()
+    q1, q2 = parse_param_pair("0.2,1,0,0,0:0,1,0,0,0")
+    fpath, gpath = _conv_pair(tmp_path, make_config(p1, p2, 5, 9),
+                              make_config(q1, q2, 5, 9, 0.5, 2.0))
+    out = tmp_path / "o.qcsv"
+    assert main(["conv", flag, "--in", str(fpath), "--in2", str(gpath),
+                 "--out", str(out)]) == 0
+    assert read_qcsv(out)[0].shape == (5, 9)
 
 
 def test_bench_prints_speedup_table(capsys):

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqqpft.params import ParamSet, preset_qft
 from dqqpft.qconv import ConvReport, conv_theorem_check, conv_theorem_rhs, qp_convolve
 from dqqpft.quaternion import Quaternion
 from dqqpft.signal import QSignal2D, max_deviation, rel_deviation
 from dqqpft.transform import forward_direct, inverse_direct, make_config
-from oracles import brute_qp_convolve, rand_params, rand_signal
+from oracles import brute_qp_convolve, loop_qp_convolve, rand_params, rand_signal
 
 
 def qft_cfg(n1, n2):
@@ -73,6 +76,56 @@ def test_chirped_convolution_matches_scalar_oracle():
         f = rand_signal(rng, n1, n2)
         g = rand_signal(rng, n1, n2)
         assert max_deviation(qp_convolve(f, g, cfg), brute_qp_convolve(f, g, cfg)) < 1e-12
+
+
+# 2x251 splits into 126 column blocks of width 2, the last one partial
+BLOCK_SHAPES = [(32, 48), (48, 32), (13, 17), (1, 17), (17, 1), (2, 251)]
+
+
+@pytest.mark.parametrize("n1,n2", BLOCK_SHAPES)
+def test_matches_loop_oracle_at_block_splitting_shapes(n1, n2):
+    rng = np.random.default_rng(n1 * 1000 + n2)
+    cfg = rand_cfg(rng, n1, n2)
+    assert cfg.p1.a != 0.0 and cfg.p2.a != 0.0
+    f = rand_signal(rng, n1, n2)
+    g = rand_signal(rng, n1, n2)
+    assert rel_deviation(qp_convolve(f, g, cfg), loop_qp_convolve(f, g, cfg)) <= 1e-12
+
+
+@pytest.mark.parametrize("n1,n2", BLOCK_SHAPES)
+def test_delta_identities_exact_at_block_splitting_shapes(n1, n2):
+    rng = np.random.default_rng(n1 * 1000 + n2 + 1)
+    cfg = rand_cfg(rng, n1, n2)
+    f = rand_signal(rng, n1, n2)
+    np.testing.assert_array_equal(qp_convolve(f, delta(n1, n2), cfg).comps, f.comps)
+    np.testing.assert_array_equal(qp_convolve(delta(n1, n2), f, cfg).comps, f.comps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n1=st.integers(1, 9), n2=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_matches_scalar_oracle_over_small_shapes(n1, n2, seed):
+    rng = np.random.default_rng(seed)
+    cfg = rand_cfg(rng, n1, n2)
+    f = rand_signal(rng, n1, n2)
+    g = rand_signal(rng, n1, n2)
+    assert rel_deviation(qp_convolve(f, g, cfg), brute_qp_convolve(f, g, cfg)) <= 1e-12
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1024), (1024, 1)])
+def test_skinny_grid_memory_stays_bounded(n1, n2):
+    # numpy reports its buffers to tracemalloc; an N2 x N2 (or N1 x N1)
+    # intermediate would take 16 MB here
+    rng = np.random.default_rng(10)
+    cfg = rand_cfg(rng, n1, n2)
+    f = rand_signal(rng, n1, n2)
+    g = rand_signal(rng, n1, n2)
+    tracemalloc.start()
+    try:
+        qp_convolve(f, g, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_qp_convolve_dimension_mismatch():

@@ -167,7 +167,7 @@ def _cmd_conv(args) -> int:
     out = qp_convolve(f, g, cfg)
     qio.write_qcsv(args.outfile, out, cfg)
     if args.check:
-        print(conv_theorem_check(f, g, cfg).to_text())
+        print(conv_theorem_check(f, g, cfg, conv=out).to_text())
     return 0
 
 

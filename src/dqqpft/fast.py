@@ -1,18 +1,26 @@
-"""FFT-based fast path: chirp, symplectic split, two complex FFTs, chirp.
+"""FFT-based fast path: chirp, plain DFT, chirp on the orthogonal planes split.
 
 The pipeline mirrors the chirp-DFT-chirp factorisation of the direct
-transform but replaces the plain two-sided quaternion DFT by exactly two
-complex 2D FFTs, one per symplectic component, plus index reflections
-and conjugations.  For an i-complex grid p with FFT P the two-sided
-kernel pair is recovered from
+transform, with the plain two-sided quaternion DFT evaluated as two
+plain complex 2D DFTs.  Read a sample as q = u + v*j with the i-complex
+u = w + i*x and v = y + i*z (the component array viewed as complex
+pairs), and split it into the two planes
 
-    sum_x p * e(-i*th1) * e(-j*th2)
-        = (P[w1, w2] + P[w1, -w2]) / 2
-          + (k/2) * (conj(P[w1, -w2]) - conj(P[w1, w2]))
+    p+ = u - i*v = (w + z) + i*(x - y),
+    p- = u + i*v = (w - z) + i*(x + y).
 
-and the j*ph-hat component is handled the same way after reflecting the
-first frequency axis (e(-i*th1)*j = j*e(+i*th1)).  Negative indices are
-read modulo the axis length.
+A two-sided factor acts on each plane as one complex exponential,
+
+    exp(i*a) * q * exp(j*b)   maps   p+ -> exp(i*(a - b)) * p+,
+                                     p- -> exp(i*(a + b)) * p-,
+
+so chirps become outer products of the axis vectors (the axis-2 vector
+conjugated on p+) and the DFT kernel exp(-i*th1) * q * exp(-j*th2)
+becomes exp(-i*(th1 + th2)) on p-, a plain ``fft2``, and
+exp(-i*(th1 - th2)) on p+: axis 0 keeps the sign and axis 1, the
+j-axis, takes the flipped one.  The sample is rebuilt as
+u = (p+ + p-)/2 and v = i*(p+ - p-)/2, written straight into the output
+through the same complex view; the 1/2 rides on the last chirp.
 """
 
 from __future__ import annotations
@@ -46,12 +54,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FastPlan:
-    """Precomputed chirp tables for one grid/parameter choice.
+    """Precomputed chirp vectors for one grid/parameter choice.
 
-    ``pre1``/``post1`` are i-complex vectors; ``pre2``/``post2`` hold the
-    exp(i*theta) bookkeeping of the j-complex axis-2 chirps.  All entries
-    have unit modulus.  The FFTs themselves need no tables here:
-    ``numpy.fft`` plans every axis length internally.
+    ``pre1``/``post1`` are i-complex axis-1 vectors; ``pre2``/``post2``
+    hold the exp(i*theta) bookkeeping of the j-complex axis-2 chirps.
+    All entries have unit modulus.  Each transform forms the per-plane
+    N1 x N2 chirps as outer products of these vectors on the fly, so the
+    plan stays O(N1 + N2).  The FFTs need no tables: ``numpy.fft`` plans
+    every axis length internally.
     """
 
     cfg: TransformConfig
@@ -81,26 +91,30 @@ def make_psi(f: QSignal2D, plan: FastPlan) -> QSignal2D:
         *_pointwise_sandwich(*f.to_symplectic(), plan.pre1, plan.pre2))
 
 
-def _reflect(x: np.ndarray, axis: int) -> np.ndarray:
-    """Index map w -> (-w) mod N along one axis."""
-    n = x.shape[axis]
-    return np.take(x, (n - np.arange(n)) % n, axis=axis)
+def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> QSignal2D:
+    """Chirp ``pre``, plain two-sided DFT of exponent ``sign``, chirp ``post``, scale.
 
-
-def _recombine(a: np.ndarray):
-    """Symplectic pair of sum_x p * e(si*th1) * e(sj*th2) from a = FFT_s[p]."""
-    ar = _reflect(a, 1)
-    t = 0.5 * (a + ar)
-    h = 0.5j * (np.conj(a) - np.conj(ar))
-    return t, h
-
-
-def _dqft2_pair(t: np.ndarray, h: np.ndarray, sign: int):
-    """Unnormalised two-sided quaternion DFT of the pair t + j*h via two FFTs."""
-    ta, ha = _recombine(_fft2_raw(t, sign))
-    tb, hb = _recombine(_reflect(_fft2_raw(h, sign), 0))
-    # j * (tb + j*hb) = -hb + j*tb
-    return ta - hb, ha + tb
+    ``pre`` and ``post`` are (axis-1 vector, axis-2 bookkeeping vector)
+    pairs.  Each plane takes one chirp, one ``_fft2_raw`` call and one
+    chirp that carries ``scale`` and the 1/2 of the reassembly.
+    """
+    (left0, right0), (left1, right1) = pre, post
+    left1 = left1 * (0.5 * scale)
+    uv = comps.view(np.complex128)
+    u, iv = uv[..., 0], 1j * uv[..., 1]
+    plus = u - iv
+    plus *= np.outer(left0, np.conj(right0))
+    plus = _fft2_raw(plus, sign, -sign)
+    plus *= np.outer(left1, np.conj(right1))
+    minus = u + iv
+    minus *= np.outer(left0, right0)
+    minus = _fft2_raw(minus, sign, sign)
+    minus *= np.outer(left1, right1)
+    out = np.empty(uv.shape, dtype=np.complex128)
+    np.add(plus, minus, out=out[..., 0])
+    np.subtract(plus, minus, out=out[..., 1])
+    out[..., 1] *= 1j
+    return QSignal2D._adopt(out.view(np.float64))
 
 
 def dqft2_via_fft(psi: QSignal2D, direction: str = "forward") -> QSignal2D:
@@ -111,28 +125,23 @@ def dqft2_via_fft(psi: QSignal2D, direction: str = "forward") -> QSignal2D:
         sign = +1
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return QSignal2D.from_symplectic(*_dqft2_pair(*psi.to_symplectic(), sign))
+    unit = (np.ones(psi.n1), np.ones(psi.n2))
+    return _chirp_dft_chirp(psi.comps, unit, unit, sign, 1.0)
 
 
-def _chirp_dft_chirp(f: QSignal2D, plan: FastPlan, pre, post, sign: int) -> QSignal2D:
-    """Chirp sandwich ``pre``, pair DFT of exponent ``sign``, sandwich ``post``, scale.
-
-    Splits ``f`` once and builds one ``QSignal2D``, the result.
-    """
-    _check_dims(f, plan.cfg)
-    g = plan.cfg.grid
-    t, h = _pointwise_sandwich(*f.to_symplectic(), *pre)
-    t, h = _pointwise_sandwich(*_dqft2_pair(t, h, sign), *post)
-    scale = 1.0 / math.sqrt(g.n1 * g.n2)
-    return QSignal2D.from_symplectic(t * scale, h * scale)
+def _scale(plan: FastPlan) -> float:
+    return 1.0 / math.sqrt(plan.cfg.grid.n1 * plan.cfg.grid.n2)
 
 
 def forward_fast(f: QSignal2D, plan: FastPlan) -> QSignal2D:
     """Fast two-sided transform; matches ``forward_direct`` to rounding."""
-    return _chirp_dft_chirp(f, plan, (plan.pre1, plan.pre2), (plan.post1, plan.post2), -1)
+    _check_dims(f, plan.cfg)
+    return _chirp_dft_chirp(f.comps, (plan.pre1, plan.pre2), (plan.post1, plan.post2),
+                            -1, _scale(plan))
 
 
 def inverse_fast(F: QSignal2D, plan: FastPlan) -> QSignal2D:
-    """Fast inverse: conjugated chirps around a sign-flipped FFT pipeline."""
-    return _chirp_dft_chirp(F, plan, (np.conj(plan.post1), np.conj(plan.post2)),
-                            (np.conj(plan.pre1), np.conj(plan.pre2)), +1)
+    """Fast inverse: conjugated chirps around a sign-flipped DFT."""
+    _check_dims(F, plan.cfg)
+    return _chirp_dft_chirp(F.comps, (np.conj(plan.post1), np.conj(plan.post2)),
+                            (np.conj(plan.pre1), np.conj(plan.pre2)), +1, _scale(plan))

@@ -143,14 +143,18 @@ def conv_theorem_rhs(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSigna
     return QSignal2D(out * math.sqrt(g1 * g2))
 
 
-def conv_theorem_check(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> ConvReport:
+def conv_theorem_check(f: QSignal2D, g: QSignal2D, cfg: TransformConfig, *,
+                       conv: QSignal2D | None = None) -> ConvReport:
     """Compare the transform of f*g with the factorised right-hand side.
 
-    Always returns a report; it never raises on deviation, because the
-    factorisation is only an identity in the restricted regime the
-    docstring of this module describes.
+    ``conv`` is ``qp_convolve(f, g, cfg)`` when the caller already has it;
+    otherwise it is computed here.  Always returns a report; it never
+    raises on deviation, because the factorisation is only an identity in
+    the restricted regime the docstring of this module describes.
     """
-    lhs = forward_fast(qp_convolve(f, g, cfg), make_plan(cfg))
+    if conv is None:
+        conv = qp_convolve(f, g, cfg)
+    lhs = forward_fast(conv, make_plan(cfg))
     rhs = conv_theorem_rhs(f, g, cfg)
     diff = float(np.sqrt(np.max(qnorm_sq(lhs.comps - rhs.comps))))
     scale = float(np.sqrt(np.max(qnorm_sq(lhs.comps))))

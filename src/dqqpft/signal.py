@@ -20,11 +20,26 @@ class QSignal2D:
     __slots__ = ("_comps",)
 
     def __init__(self, comps):
-        comps = np.array(comps, dtype=np.float64, copy=True)
+        comps = np.array(comps, dtype=np.float64, copy=True, order="C")
         if comps.ndim != 3 or comps.shape[2] != 4:
             raise ValueError(f"expected an (n1, n2, 4) component array, got shape {comps.shape}")
         if comps.shape[0] < 1 or comps.shape[1] < 1:
             raise ValueError("signal axes must have at least one sample")
+        self._freeze(comps)
+
+    @classmethod
+    def _adopt(cls, comps: np.ndarray) -> "QSignal2D":
+        """Wrap a C-contiguous float64 (n1, n2, 4) array without copying it.
+
+        For library code that has just built ``comps`` and holds the only
+        reference to it.  The finiteness check still runs, because finite
+        input can overflow to inf on its way through a transform.
+        """
+        sig = cls.__new__(cls)
+        sig._freeze(comps)
+        return sig
+
+    def _freeze(self, comps: np.ndarray) -> None:
         if not np.all(np.isfinite(comps)):
             raise ValueError("signal contains non-finite samples")
         comps.flags.writeable = False

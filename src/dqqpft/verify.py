@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fast import _reflect, dqft2_via_fft, forward_fast, inverse_fast, make_plan
+from .fast import dqft2_via_fft, forward_fast, inverse_fast, make_plan
 from .fft import fft2_complex
 from .params import ParamSet, preset_qfrft, preset_qft, preset_qlct
 from .qconv import conv_theorem_check, qp_convolve
@@ -395,6 +395,12 @@ def _convolution_checks(rng, results):
     results.append(PropertyResult(
         "convolution-factorisation-general", dev_gen, None,
         note="outside the verified regime the factorisation is not asserted"))
+
+
+def _reflect(x: np.ndarray, axis: int) -> np.ndarray:
+    """Index map w -> (-w) mod N along one axis."""
+    n = x.shape[axis]
+    return np.take(x, (n - np.arange(n)) % n, axis=axis)
 
 
 def _mixed_axis_grid(psi_tilde_fft: np.ndarray, psi_hat_fft: np.ndarray) -> QSignal2D:

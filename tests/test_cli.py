@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import dqqpft.cli
+import dqqpft.qconv
 from dqqpft.cli import main
 from dqqpft.io import read_qcsv, write_qcsv
 from dqqpft.params import parse_param_pair, preset_qft
-from dqqpft.qconv import qp_convolve
+from dqqpft.qconv import conv_theorem_check, qp_convolve
 from dqqpft.signal import QSignal2D, rel_deviation
 from dqqpft.transform import make_config
 from oracles import rand_params, rand_signal
@@ -116,6 +118,28 @@ def test_conv_with_check_report(tmp_path, example_qcsv, capsys):
     assert "max_abs_deviation" in captured.out
     got, _ = read_qcsv(out)
     assert got.shape == (2, 2)
+
+
+def test_conv_check_convolves_once(tmp_path, capsys, monkeypatch):
+    p1, p2 = preset_qft()
+    cfg = make_config(p1, p2, 4, 5)
+    fpath, gpath = _conv_pair(tmp_path, cfg, cfg, 4, 5)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return qp_convolve(*args, **kwargs)
+
+    monkeypatch.setattr(dqqpft.cli, "qp_convolve", counting)
+    monkeypatch.setattr(dqqpft.qconv, "qp_convolve", counting)
+    rc = main(["conv", "--in", str(fpath), "--in2", str(gpath),
+               "--out", str(tmp_path / "conv.qcsv"), "--check"])
+    assert rc == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # the report is the one the check gives when it convolves on its own
+    f, g = read_qcsv(fpath)[0], read_qcsv(gpath)[0]
+    assert capsys.readouterr().out == conv_theorem_check(f, g, cfg).to_text() + "\n"
 
 
 def test_conv_shape_mismatch_is_usage_error(tmp_path, example_qcsv):

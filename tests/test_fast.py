@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dqqpft.fast
 from dqqpft.fast import (
     dqft2_via_fft,
     forward_fast,
@@ -165,6 +168,79 @@ def test_fast_roundtrip():
         F = forward_fast(f, plan)
         assert rel_deviation(inverse_fast(F, plan), f) < 1e-10
         assert abs(energy(F) - energy(f)) < 1e-10 * energy(f)
+
+
+def _fast_vs_direct_devs(f, cfg):
+    """Forward and inverse against direct, round trip and energy drift."""
+    plan = make_plan(cfg)
+    F = forward_fast(f, plan)
+    return (rel_deviation(F, forward_direct(f, cfg)),
+            rel_deviation(inverse_fast(f, plan), inverse_direct(f, cfg)),
+            rel_deviation(inverse_fast(F, plan), f),
+            abs(energy(F) - energy(f)) / energy(f))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n1=st.integers(1, 13), n2=st.integers(1, 13), seed=st.integers(0, 2**32 - 1))
+def test_fast_matches_direct_over_small_shapes(n1, n2, seed):
+    # 1 x N, N x 1 and prime-by-prime grids included
+    rng = np.random.default_rng(seed)
+    assert max(_fast_vs_direct_devs(rand_signal(rng, n1, n2), rand_cfg(rng, n1, n2))) <= 1e-10
+
+
+@pytest.mark.parametrize("n1,n2", [(13, 17), (1, 31), (31, 1)])
+def test_fast_matches_direct_at_prime_and_skinny_shapes(n1, n2):
+    rng = np.random.default_rng(n1 * 100 + n2)
+    assert max(_fast_vs_direct_devs(rand_signal(rng, n1, n2), rand_cfg(rng, n1, n2))) <= 1e-10
+
+
+@pytest.mark.parametrize("transform", [forward_fast, inverse_fast])
+def test_each_transform_makes_two_fft_calls(monkeypatch, transform):
+    # one plain complex DFT per plane; perfbench traces this very name
+    shapes = []
+    raw = dqqpft.fast._fft2_raw
+
+    def counting(x, sign1, sign2):
+        shapes.append(x.shape)
+        return raw(x, sign1, sign2)
+
+    monkeypatch.setattr(dqqpft.fast, "_fft2_raw", counting)
+    rng = np.random.default_rng(13)
+    transform(rand_signal(rng, 6, 5), make_plan(rand_cfg(rng, 6, 5)))
+    assert shapes == [(6, 5), (6, 5)]
+
+
+# --- output adopted without a copy ------------------------------------------
+
+@pytest.mark.parametrize("transform", [forward_fast, inverse_fast])
+def test_output_is_read_only_contiguous_and_unshared(transform):
+    rng = np.random.default_rng(14)
+    f = rand_signal(rng, 7, 4)
+    out = transform(f, make_plan(rand_cfg(rng, 7, 4)))
+    assert not out.comps.flags.writeable
+    assert out.comps.flags.c_contiguous
+    assert out.comps.dtype == np.float64 and out.comps.shape == (7, 4, 4)
+    assert not np.shares_memory(out.comps, f.comps)
+    with pytest.raises(ValueError):
+        out.comps[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("transform", [forward_fast, inverse_fast])
+def test_overflowing_transform_still_rejects_non_finite_output(transform):
+    plan = make_plan(qft_cfg(1, 1))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="signal contains non-finite samples"):
+        transform(QSignal2D(np.full((1, 1, 4), 1e308)), plan)
+    out = transform(QSignal2D(np.full((1, 1, 4), 8e307)), plan)
+    assert np.all(np.isfinite(out.comps))
+
+
+def test_fortran_ordered_input_is_accepted():
+    rng = np.random.default_rng(16)
+    comps = np.asfortranarray(rng.uniform(-1, 1, size=(5, 6, 4)))
+    cfg = rand_cfg(rng, 5, 6)
+    f = QSignal2D(comps)
+    assert rel_deviation(forward_fast(f, make_plan(cfg)), forward_direct(f, cfg)) < 1e-10
 
 
 # --- diagnostic recombination ------------------------------------------------

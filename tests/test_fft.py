@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dqqpft.fft import fft2_complex
+from dqqpft.fft import _fft2_raw, fft2_complex
 from oracles import naive_dft2
 
 
@@ -76,3 +76,22 @@ def test_input_validation():
         fft2_complex(np.zeros(4, dtype=complex))
     with pytest.raises(ValueError):
         fft2_complex(np.zeros((2, 2), dtype=complex), "sideways")
+
+
+@pytest.mark.parametrize("sign1,sign2", [(-1, -1), (-1, 1), (1, -1), (1, 1)])
+def test_raw_transform_takes_one_sign_per_axis(sign1, sign2):
+    rng = np.random.default_rng(3)
+    for n1, n2 in [(1, 1), (1, 7), (7, 1), (5, 6), (13, 17)]:
+        x = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
+        w1 = np.exp(sign1 * 2j * np.pi * np.outer(np.arange(n1), np.arange(n1)) / n1)
+        w2 = np.exp(sign2 * 2j * np.pi * np.outer(np.arange(n2), np.arange(n2)) / n2)
+        want = w1.T @ x @ w2
+        np.testing.assert_allclose(_fft2_raw(x, sign1, sign2), want, atol=1e-12 * n1 * n2)
+
+
+def test_raw_transform_with_equal_signs_is_numpy_fft2():
+    rng = np.random.default_rng(4)
+    for n1, n2 in [(257, 3), (96, 250), (1, 7)]:
+        x = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
+        np.testing.assert_array_equal(_fft2_raw(x, -1, -1), np.fft.fft2(x))
+        np.testing.assert_array_equal(_fft2_raw(x, 1, 1), np.fft.ifft2(x, norm="forward"))

@@ -30,6 +30,18 @@ def test_components_are_read_only_and_copied():
         sig.comps[0, 0, 0] = 1.0
 
 
+def test_constructor_copies_into_c_order():
+    src = np.asfortranarray(np.arange(24.0).reshape(2, 3, 4))
+    sig = QSignal2D(src)
+    assert sig.comps.flags.c_contiguous
+    assert not np.shares_memory(sig.comps, src)
+    np.testing.assert_array_equal(sig.comps, src)
+    # a read-only source is copied too, never adopted
+    frozen = np.zeros((2, 2, 4))
+    frozen.flags.writeable = False
+    assert not np.shares_memory(QSignal2D(frozen).comps, frozen)
+
+
 def test_from_real_and_at():
     sig = QSignal2D.from_real([[35.0, 30.0], [25.0, 20.0]])
     assert sig.at(0, 1) == Quaternion(30.0)

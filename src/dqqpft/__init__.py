@@ -8,7 +8,6 @@ path built on the orthogonal 2D planes split, the matching quadratic-phase
 convolution, qcsv/PPM I/O and a seeded verification harness.
 """
 
-from .bench import BenchRow, format_table, run_bench
 from .fast import (
     FastPlan,
     dqft2_via_fft,

@@ -5,13 +5,15 @@ time chirps exp(-2i*a1*z1*(z1-x1)*dt1^2) on the left of f and
 exp(-2j*a2*z2*(z2-x2)*dt2^2) on the right of g, which is exactly what
 makes the cross terms of the transform kernels cancel.  ``qp_convolve``
 evaluates that sum in full, O((N1*N2)^2) flops in O(N1*N2) memory: a
-loop over column blocks min(N1, N2) wide and over output rows, each step
-one complex matrix product on the symplectic pair.  A unit impulse as
-either operand still reproduces the other bit for bit (see its
-docstring).  The companion factorisation (``conv_theorem_rhs``) holds as
-an equality only in a restricted regime (time chirps N-periodic, f in
-the i-complex subfield, the spectrum of g real); ``conv_theorem_check``
-therefore reports deviations instead of enforcing them.
+loop over column blocks min(N2, 2*N1) wide, the widest for which no
+buffer holds more than 4*N1*N2 complex entries, and over output rows,
+each step one complex matrix product on the symplectic pair.  A unit
+impulse as either operand still reproduces the other bit for bit (see
+its docstring).  The companion factorisation (``conv_theorem_rhs``)
+holds as an equality only in a restricted regime (time chirps
+N-periodic, f in the i-complex subfield, the spectrum of g real);
+``conv_theorem_check`` therefore reports deviations instead of enforcing
+them.
 """
 
 from __future__ import annotations
@@ -69,47 +71,71 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     c - s*j maps (t, u) to (c*t + s*u, c*u - s*t), and p*q has the parts
     p_t*q_t - p_u*conj(q_u) and p_t*q_u + p_u*conj(q_t).  For each output
     row x1 and each block of columns m = (x2 - z2) mod N2, one matrix
-    product sums over z1 the chirped rows of f against the rows
-    (x1 - z1) mod N1 of g; the right chirp then weights each partial sum
-    S[z2, m] and ``np.bincount`` adds it into column (z2 + m) mod N2.
-    Blocks are min(N1, N2) columns wide, so no buffer grows past a few
-    times N1*N2 entries.  With a unit impulse as either operand every sum
-    has one nonzero term, weighted by exactly cos(0) = 1 and sin(0) = 0,
-    so the result reproduces the other operand bit for bit in any
-    summation order.
+    product sums in the order k = (x1 - z1) mod N1: rows k of g against
+    the chirped rows z1 = (x1 - k) mod N1 of f.  So a block's g enters
+    every step as the same matrix, and the rows of f as one contiguous
+    window of a copy reversed and doubled once per call.  The right chirp
+    then weights each partial sum S[m, z2] and ``np.bincount`` adds it
+    into column (z2 + m) mod N2.  Blocks are min(N2, 2*N1) columns wide,
+    the widest for which no buffer holds more than 4*N1*N2 complex
+    entries: the block of g holds 4*N1*width, S holds 2*width*N2 and the
+    doubled f 4*N1*N2.  Both chirps are evaluated per element from the
+    same phase expression at every (z, x), whatever the order.  With a
+    unit impulse as either operand every sum has one nonzero term,
+    weighted by exactly cos(0) = 1 and sin(0) = 0, and every other term
+    is an exact zero, so the result reproduces the other operand bit for
+    bit in any summation order.
     """
     _check_pair(f, g, cfg)
     n1, n2 = f.n1, f.n2
     dt1sq = cfg.grid.dt1 ** 2
     dt2sq = cfg.grid.dt2 ** 2
     a1, a2 = cfg.p1.a, cfg.p2.a
-    z1 = np.arange(n1)
-    z2 = np.arange(n2)[:, None]
+    z2 = np.arange(n2)
     # the (w, x, y, z) axis read as the complex pair (t, u)
     fp = f.comps.view(np.complex128).transpose(0, 2, 1)
     gp = g.comps.view(np.complex128)
+    # reversed and doubled: the n1 rows from n1-1-x1 on are z1 = (x1 - k) mod n1
+    frev = np.concatenate((fp[::-1], fp[::-1]))
+    zrev = np.tile(np.arange(n1)[::-1], 2)
+    lhs = np.empty((n1, 2, n2), np.complex128)
     out = np.zeros((n1, n2, 4))
-    width = min(n1, n2)
+    width = min(n2, 2 * n1)
     for m0 in range(0, n2, width):
-        x2 = (z2 + np.arange(m0, min(m0 + width, n2))) % n2
+        w = min(width, n2 - m0)
+        x2 = (np.arange(m0, m0 + w)[:, None] + z2) % n2
         th2 = 2.0 * a2 * z2 * (z2 - x2) * dt2sq
-        c, s = np.cos(th2), np.sin(th2)
-        # bincount bin of each real component of the weighted S[z2, m]
-        bins = (4 * x2[..., None] + np.arange(4)).ravel()
-        gt, gu = gp[:, m0:m0 + width, 0], gp[:, m0:m0 + width, 1]
-        # row (z1, p) holds what f_p[z1] multiplies into (S_t | S_u)
-        gb = np.stack((np.concatenate((gt, gu), axis=1),
-                       np.concatenate((-gu.conj(), gt.conj()), axis=1)), axis=1)
+        # the j-chirp on each float (re, im) of S_t[m, z2] and S_u[m, z2]
+        c = np.cos(th2).repeat(2, axis=1)
+        s = np.sin(th2).repeat(2, axis=1)
+        s = np.stack((-s, s))
+        # bincount bin of each of those floats
+        bins = 4 * x2.repeat(2, axis=1) + np.tile([0, 1], n2)
+        bins = np.stack((bins, bins + 2)).ravel()
+        gt, gu = gp[:, m0:m0 + w, 0], gp[:, m0:m0 + w, 1]
+        # row (k, p) holds what f_p[(x1 - k) mod n1] multiplies into (S_t | S_u)
+        gb = np.empty((n1, 2, 2, w), np.complex128)
+        gb[:, 0, 0], gb[:, 0, 1] = gt, gu
+        np.negative(gu.conj(), out=gb[:, 1, 0])
+        np.conjugate(gt, out=gb[:, 1, 1])
+        gb = gb.reshape(2 * n1, 2 * w)
+        st = np.empty((2 * w, n2), np.complex128)
+        sf = st.view(np.float64).reshape(2, w, 2 * n2)
+        terms = np.empty_like(sf)
         for x1 in range(n1):
+            rows = slice(n1 - 1 - x1, 2 * n1 - 1 - x1)
+            z1 = zrev[rows]
             th1 = 2.0 * a1 * z1 * (z1 - x1) * dt1sq
             alpha = np.cos(th1) - 1j * np.sin(th1)
-            lhs = (alpha[:, None, None] * fp).reshape(2 * n1, n2)
-            rhs = gb[(x1 - z1) % n1].reshape(2 * n1, -1)
-            st, su = np.split(lhs.T @ rhs, 2, axis=1)
-            terms = np.stack((c * st + s * su, c * su - s * st), axis=-1)
-            out[x1] += np.bincount(bins, weights=terms.view(np.float64).ravel(),
+            np.multiply(alpha[:, None, None], frev[rows], out=lhs)
+            np.matmul(gb.T, lhs.reshape(2 * n1, n2), out=st)
+            # (c*S_t + s*S_u, c*S_u - s*S_t), by way of sf = (-s*S_t, s*S_u)
+            np.multiply(c, sf, out=terms)
+            sf *= s
+            terms += sf[::-1]
+            out[x1] += np.bincount(bins, weights=terms.ravel(),
                                    minlength=4 * n2).reshape(n2, 4)
-    return QSignal2D(out)
+    return QSignal2D._adopt(out)
 
 
 def conv_theorem_rhs(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:

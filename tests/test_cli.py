@@ -209,6 +209,17 @@ def test_bench_prints_speedup_table(capsys):
         assert size in out
 
 
+def test_measurement_helpers_stay_out_of_package_namespace():
+    import dqqpft
+    import dqqpft.bench
+
+    for name in ("BenchRow", "format_table", "run_bench"):
+        assert not hasattr(dqqpft, name)
+    rows = dqqpft.bench.run_bench(sizes=(4,), repeats=1)
+    assert [row.size for row in rows] == [4]
+    assert "4x4" in dqqpft.bench.format_table(rows)
+
+
 def test_verify_deterministic_and_green(capsys):
     assert main(["verify", "--seed", "42"]) == 0
     first = capsys.readouterr().out

@@ -78,8 +78,9 @@ def test_chirped_convolution_matches_scalar_oracle():
         assert max_deviation(qp_convolve(f, g, cfg), brute_qp_convolve(f, g, cfg)) < 1e-12
 
 
-# 2x251 splits into 126 column blocks of width 2, the last one partial
-BLOCK_SHAPES = [(32, 48), (48, 32), (13, 17), (1, 17), (17, 1), (2, 251)]
+# blocks are min(N2, 2*N1) columns wide: 2x251 splits into 63 blocks of
+# width 4, the last one 3 wide, and 3x20 into blocks of width 6, 6, 6 and 2
+BLOCK_SHAPES = [(32, 48), (48, 32), (13, 17), (1, 17), (17, 1), (2, 251), (3, 20)]
 
 
 @pytest.mark.parametrize("n1,n2", BLOCK_SHAPES)
@@ -126,6 +127,23 @@ def test_skinny_grid_memory_stays_bounded(n1, n2):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("n1,n2", [(64, 256), (256, 64)])
+def test_memory_stays_linear_where_blocks_widen(n1, n2):
+    # blocks of min(N2, 2*N1) columns; each buffer holds at most 4*N1*N2
+    # complex entries, and the peak stays within 48*N1*N2 of them
+    rng = np.random.default_rng(11)
+    cfg = rand_cfg(rng, n1, n2)
+    f = rand_signal(rng, n1, n2)
+    g = rand_signal(rng, n1, n2)
+    tracemalloc.start()
+    try:
+        qp_convolve(f, g, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * n1 * n2 * 16
 
 
 def test_qp_convolve_dimension_mismatch():

@@ -31,13 +31,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-sided discrete quaternion quadratic-phase Fourier transform tools.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_transform_flags(p):
+    def add_param_flags(p):
         p.add_argument("--params", metavar="A1,B1,C1,D1,E1:A2,B2,C2,D2,E2",
                        help="explicit parameter quintuple per axis (b nonzero)")
         p.add_argument("--preset", metavar="qft|qfrft:T1,T2|qlct:A1,B1,D1:A2,B2,D2",
                        help="named parameter family instead of --params")
         p.add_argument("--dt", metavar="DT1,DT2",
                        help="sampling steps (default: input header, else 1,1)")
+
+    def add_transform_flags(p):
+        add_param_flags(p)
         p.add_argument("--method", choices=("direct", "fast"), default="fast")
         p.add_argument("--mapping", choices=qio.MAPPINGS, default="pure",
                        help="pixel mapping used for ppm input/output")
@@ -53,9 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     inv.set_defaults(func=_cmd_inverse)
 
     conv = sub.add_parser("conv", help="quadratic-phase convolution of two qcsv grids")
-    conv.add_argument("--params")
-    conv.add_argument("--preset")
-    conv.add_argument("--dt")
+    add_param_flags(conv)
     conv.add_argument("--in", dest="infile", required=True, metavar="PATH")
     conv.add_argument("--in2", dest="infile2", required=True, metavar="PATH")
     conv.add_argument("--out", dest="outfile", required=True, metavar="PATH")
@@ -156,13 +157,14 @@ def _check_conv_headers(cfg1: TransformConfig | None, cfg2: TransformConfig | No
 
 
 def _cmd_conv(args) -> int:
+    if str(args.outfile).endswith(".ppm"):
+        raise UsageError("convolution output must be qcsv")
     f, header_cfg = _load_signal(args.infile, "pure")
     g, header_cfg2 = _load_signal(args.infile2, "pure")
     if f.shape != g.shape:
         raise UsageError(f"operand shapes differ: {f.shape} vs {g.shape}")
     if not (args.params or args.preset or args.dt):
         _check_conv_headers(header_cfg, header_cfg2)
-    args.mapping = "pure"
     cfg = _resolve_config(args, header_cfg, f.n1, f.n2)
     out = qp_convolve(f, g, cfg)
     qio.write_qcsv(args.outfile, out, cfg)

@@ -87,8 +87,7 @@ def make_plan(cfg: TransformConfig) -> FastPlan:
 def make_psi(f: QSignal2D, plan: FastPlan) -> QSignal2D:
     """Pointwise chirp sandwich pre1 * f * pre2; preserves sample norms."""
     _check_dims(f, plan.cfg)
-    return QSignal2D.from_symplectic(
-        *_pointwise_sandwich(*f.to_symplectic(), plan.pre1, plan.pre2))
+    return QSignal2D._adopt(_pointwise_sandwich(f.comps, plan.pre1, plan.pre2))
 
 
 def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> QSignal2D:

@@ -170,7 +170,7 @@ def read_qcsv(path) -> tuple[QSignal2D, TransformConfig]:
     except ParameterError as exc:
         raise QcsvError(None, str(exc)) from None
     cfg = TransformConfig(p1, p2, grid, TWO_SIDED)
-    return QSignal2D(comps.reshape(n1, n2, 4)), cfg
+    return QSignal2D._adopt(comps.reshape(n1, n2, 4)), cfg
 
 
 def write_qcsv(path, signal: QSignal2D, cfg: TransformConfig) -> None:
@@ -255,11 +255,12 @@ def read_image_ppm(path, mapping: str = "pure") -> QSignal2D:
         if np.any(pix < 0) or np.any(pix > 255):
             raise PpmError("raster value out of the 8-bit range")
     rgb = pix.reshape(height, width, 3)
-
+    comps = np.zeros((height, width, 4))
     if mapping == "pure":
-        return QSignal2D.from_components(np.zeros((height, width)),
-                                         rgb[..., 0], rgb[..., 1], rgb[..., 2])
-    return QSignal2D.from_real(rgb.mean(axis=2))
+        comps[..., 1:] = rgb
+    else:
+        comps[..., 0] = rgb.mean(axis=2)
+    return QSignal2D._adopt(comps)
 
 
 def write_image_ppm(path, signal: QSignal2D, mapping: str = "pure",

@@ -7,13 +7,13 @@ makes the cross terms of the transform kernels cancel.  ``qp_convolve``
 evaluates that sum in full, O((N1*N2)^2) flops in O(N1*N2) memory: a
 loop over column blocks min(N2, 2*N1) wide, the widest for which no
 buffer holds more than 4*N1*N2 complex entries, and over output rows,
-each step one complex matrix product on the symplectic pair.  A unit
-impulse as either operand still reproduces the other bit for bit (see
-its docstring).  The companion factorisation (``conv_theorem_rhs``)
-holds as an equality only in a restricted regime (time chirps
-N-periodic, f in the i-complex subfield, the spectrum of g real);
-``conv_theorem_check`` therefore reports deviations instead of enforcing
-them.
+each step one complex matrix product on the component array read as
+complex pairs.  A unit impulse as either operand still reproduces the
+other bit for bit (see its docstring).  The companion factorisation
+(``conv_theorem_rhs``) holds as an equality only in a restricted regime
+(time chirps N-periodic, f in the i-complex subfield, the spectrum of g
+real); ``conv_theorem_check`` therefore reports deviations instead of
+enforcing them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .fast import forward_fast, make_plan
 from .quaternion import qmul, qnorm_sq
 from .signal import QSignal2D
-from .transform import TransformConfig, _check_dims
+from .transform import TransformConfig, _check_dims, _freq_chirp, _pointwise_sandwich
 
 __all__ = ["ConvReport", "qp_convolve", "conv_theorem_rhs", "conv_theorem_check"]
 
@@ -155,18 +155,10 @@ def conv_theorem_rhs(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSigna
         comp = QSignal2D.from_real(f.comps[..., n])
         qn = forward_fast(comp, plan).comps
         acc = acc + qmul(qmul(units[n], qn), qg)
-    w1 = np.arange(g1)
-    w2 = np.arange(g2)
-    b1 = cfg.p1.c * w1 * w1 * cfg.grid.du1 ** 2 + cfg.p1.e * w1 * cfg.grid.du1
-    b2 = cfg.p2.c * w2 * w2 * cfg.grid.du2 ** 2 + cfg.p2.e * w2 * cfg.grid.du2
-    psi_i = np.zeros((g1, 4))
-    psi_i[:, 0] = np.cos(b1)
-    psi_i[:, 1] = np.sin(b1)
-    psi_j = np.zeros((g2, 4))
-    psi_j[:, 0] = np.cos(b2)
-    psi_j[:, 2] = np.sin(b2)
-    out = qmul(qmul(psi_i[:, None, :], acc), psi_j[None, :, :])
-    return QSignal2D(out * math.sqrt(g1 * g2))
+    out = _pointwise_sandwich(acc, _freq_chirp(cfg.p1, g1, cfg.grid.du1, +1),
+                              _freq_chirp(cfg.p2, g2, cfg.grid.du2, +1))
+    out *= math.sqrt(g1 * g2)
+    return QSignal2D._adopt(out)
 
 
 def conv_theorem_check(f: QSignal2D, g: QSignal2D, cfg: TransformConfig, *,

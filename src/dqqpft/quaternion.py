@@ -4,10 +4,12 @@ A quaternion is stored as q = w + x*i + y*j + z*k with the usual
 multiplication table i**2 = j**2 = k**2 = ijk = -1 and ij = -ji = k
 (so jk = i and ki = j).
 
-The symplectic (complex-pair) form writes q = t + j*h with
-t = w + x*i and h = y - z*i, both in the i-complex subfield.  It is the
-decomposition that lets a quaternion DFT run on two ordinary complex
-FFTs, and it underpins most of the vectorised code in this package.
+The symplectic form writes q = t + j*h with t = w + x*i and
+h = y - z*i, both in the i-complex subfield; ``symplectic_split`` and
+``symplectic_join`` convert to and from that notation.  The vectorised
+code in this package uses the pair q = u + v*j instead, with u = w + x*i
+and v = y + z*i (so u = t and v = conj(h)): it is the (..., 4) component
+array itself read as (..., 2) complex numbers, which takes no copy.
 """
 
 from __future__ import annotations

@@ -18,10 +18,11 @@ single side instead.
 Everything here is evaluated from precomputed kernel matrices by a full
 O((N1*N2)^2) contraction, which makes this module the definitional
 reference the FFT-based fast path is checked and benchmarked against.
-All arithmetic runs on the symplectic components t = w + i*x and
-h = y - i*z, where one-sided multiplications turn into ordinary complex
-products (z*q has components (z*t, conj(z)*h), and q times the j-complex
-value u0 + j*u2 has components (t*u0 - conj(h)*u2, h*u0 + conj(t)*u2)).
+All arithmetic runs on the component array viewed as complex pairs,
+q = u + v*j with u = w + i*x and v = y + i*z, where one-sided
+multiplications turn into ordinary complex products: an i-complex z on
+the left gives (z*u, z*v), one on the right (u*z, v*conj(z)), and the
+j-complex value c + j*s on the right gives (c*u - s*v, c*v + s*u).
 """
 
 from __future__ import annotations
@@ -139,35 +140,36 @@ def _contract(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("pm,pq,qn->mn", a, x, b, optimize=False)
 
 
-def _sandwich(z1, b0, b2, t, h, side):
-    """Kernel contraction of a symplectic pair for every kernel placement.
+def _sandwich(z1, b0, b2, comps, side):
+    """Kernel contraction of a component array for every kernel placement.
 
     z1 is the i-complex axis-1 factor indexed (summed, out); (b0, b2) are
     the cos/sin parts of the j-complex axis-2 factor, same indexing.
     ``side`` additionally selects the ordering used by the inverse, where
     the j-factor precedes the i-factor inside one-sided products.
+    Returns a new (n1, n2, 4) component array.
     """
+    uv = comps.view(np.complex128)
+    u, v = uv[..., 0], uv[..., 1]
     zc = np.conj(z1)
-    tc = np.conj(t)
-    hc = np.conj(h)
     if side == TWO_SIDED:
-        ft = _contract(z1, t, b0) - _contract(z1, hc, b2)
-        fh = _contract(zc, h, b0) + _contract(zc, tc, b2)
+        fu = _contract(z1, u, b0) - _contract(z1, v, b2)
+        fv = _contract(z1, v, b0) + _contract(z1, u, b2)
     elif side == LEFT_SIDED:
-        ft = _contract(z1, t, b0) - _contract(z1, h, b2)
-        fh = _contract(zc, h, b0) + _contract(zc, t, b2)
+        fu = _contract(z1, u, b0) - _contract(z1, np.conj(v), b2)
+        fv = _contract(z1, v, b0) + _contract(z1, np.conj(u), b2)
     elif side == RIGHT_SIDED:
-        ft = _contract(z1, t, b0) - _contract(zc, hc, b2)
-        fh = _contract(z1, h, b0) + _contract(zc, tc, b2)
+        fu = _contract(z1, u, b0) - _contract(zc, v, b2)
+        fv = _contract(zc, v, b0) + _contract(z1, u, b2)
     elif side == "left_jk":
-        ft = _contract(z1, t, b0) - _contract(zc, h, b2)
-        fh = _contract(zc, h, b0) + _contract(z1, t, b2)
+        fu = _contract(z1, u, b0) - _contract(zc, np.conj(v), b2)
+        fv = _contract(z1, v, b0) + _contract(zc, np.conj(u), b2)
     elif side == "right_jk":
-        ft = _contract(z1, t, b0) - _contract(z1, hc, b2)
-        fh = _contract(z1, h, b0) + _contract(z1, tc, b2)
+        fu = _contract(z1, u, b0) - _contract(z1, v, b2)
+        fv = _contract(zc, v, b0) + _contract(zc, u, b2)
     else:  # pragma: no cover
         raise ValueError(side)
-    return ft, fh
+    return np.stack([fu, fv], axis=-1).view(np.float64)
 
 
 def _check_dims(f: QSignal2D, cfg: TransformConfig):
@@ -180,9 +182,7 @@ def forward_direct(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     """Transform by direct summation against precomputed kernel matrices."""
     _check_dims(f, cfg)
     z1, b0, b2 = _kernel_factors(cfg)
-    t, h = f.to_symplectic()
-    ft, fh = _sandwich(z1, b0, b2, t, h, cfg.side)
-    return QSignal2D.from_symplectic(ft, fh)
+    return QSignal2D._adopt(_sandwich(z1, b0, b2, f.comps, cfg.side))
 
 
 def inverse_direct(F: QSignal2D, cfg: TransformConfig) -> QSignal2D:
@@ -199,26 +199,22 @@ def inverse_direct(F: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     a = np.conj(z1).T
     c0 = b0.T
     c2 = -b2.T
-    t, h = F.to_symplectic()
     side = {TWO_SIDED: TWO_SIDED, LEFT_SIDED: "left_jk", RIGHT_SIDED: "right_jk"}[cfg.side]
-    ft, fh = _sandwich(a, c0, c2, t, h, side)
-    return QSignal2D.from_symplectic(ft, fh)
+    return QSignal2D._adopt(_sandwich(a, c0, c2, F.comps, side))
 
 
-def _dqft2_signed(f: QSignal2D, sign: int) -> QSignal2D:
-    n1, n2 = f.n1, f.n2
+def _dqft2_signed(comps: np.ndarray, sign: int) -> np.ndarray:
+    n1, n2 = comps.shape[:2]
     w1 = np.arange(n1)
     w2 = np.arange(n2)
     z1 = np.exp(sign * 2j * math.pi * np.outer(w1, w1) / n1)
     z2 = np.exp(sign * 2j * math.pi * np.outer(w2, w2) / n2)
-    t, h = f.to_symplectic()
-    ft, fh = _sandwich(z1, z2.real, z2.imag, t, h, TWO_SIDED)
-    return QSignal2D.from_symplectic(ft, fh)
+    return _sandwich(z1, z2.real, z2.imag, comps, TWO_SIDED)
 
 
 def dqft2(f: QSignal2D) -> QSignal2D:
     """Unnormalised two-sided quaternion DFT (plain 2*pi*x*w/N kernels)."""
-    return _dqft2_signed(f, -1)
+    return QSignal2D._adopt(_dqft2_signed(f.comps, -1))
 
 
 def _time_chirp(p: ParamSet, n: int, dt: float, sign: int) -> np.ndarray:
@@ -231,21 +227,21 @@ def _freq_chirp(p: ParamSet, n: int, du: float, sign: int) -> np.ndarray:
     return np.exp(sign * 1j * (p.c * w * w * du * du + p.e * w * du))
 
 
-def _pointwise_sandwich(t, h, left, right):
-    """Per-sample product left * q * right on a symplectic pair.
+def _pointwise_sandwich(comps, left, right):
+    """Per-sample product left * q * right on an (n1, n2, 4) component array.
 
     ``left`` is an i-complex vector over axis 1, ``right`` the complex
     bookkeeping exp(i*theta) of a j-complex vector exp(j*theta) over
-    axis 2; pass None to skip a factor.
+    axis 2; pass None to skip a factor.  Returns a new component array.
     """
+    uv = comps.view(np.complex128)
     if left is not None:
-        t = left[:, None] * t
-        h = np.conj(left)[:, None] * h
+        uv = left[:, None, None] * uv
+    u, v = uv[..., 0], uv[..., 1]
     if right is not None:
-        b0 = right.real[None, :]
-        b2 = right.imag[None, :]
-        t, h = t * b0 - np.conj(h) * b2, h * b0 + np.conj(t) * b2
-    return t, h
+        c, s = right.real, right.imag
+        u, v = u * c - v * s, v * c + u * s
+    return np.stack([u, v], axis=-1).view(np.float64)
 
 
 def forward_via_dqft(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:
@@ -260,16 +256,14 @@ def forward_via_dqft(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     if cfg.side != TWO_SIDED:
         raise ParameterError("the chirp-DFT-chirp factorisation applies to the two-sided transform")
     g = cfg.grid
-    t, h = f.to_symplectic()
-    t, h = _pointwise_sandwich(t, h,
-                               _time_chirp(cfg.p1, g.n1, g.dt1, -1),
-                               _time_chirp(cfg.p2, g.n2, g.dt2, -1))
-    d = _dqft2_signed(QSignal2D.from_symplectic(t, h), -1)
-    t, h = _pointwise_sandwich(*d.to_symplectic(),
-                               _freq_chirp(cfg.p1, g.n1, g.du1, -1),
-                               _freq_chirp(cfg.p2, g.n2, g.du2, -1))
-    scale = 1.0 / math.sqrt(g.n1 * g.n2)
-    return QSignal2D.from_symplectic(t * scale, h * scale)
+    comps = _pointwise_sandwich(f.comps,
+                                _time_chirp(cfg.p1, g.n1, g.dt1, -1),
+                                _time_chirp(cfg.p2, g.n2, g.dt2, -1))
+    comps = _pointwise_sandwich(_dqft2_signed(comps, -1),
+                                _freq_chirp(cfg.p1, g.n1, g.du1, -1),
+                                _freq_chirp(cfg.p2, g.n2, g.du2, -1))
+    comps *= 1.0 / math.sqrt(g.n1 * g.n2)
+    return QSignal2D._adopt(comps)
 
 
 def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
@@ -290,12 +284,10 @@ def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
     kern = _kernel_matrix(p, n, dt, du)
     if not quat:
         return arr.astype(np.complex128) @ kern
-    # right-multiplying by an i-complex kernel scales both symplectic parts
-    t = arr[:, 0] + 1j * arr[:, 1]
-    h = arr[:, 2] - 1j * arr[:, 3]
-    ot = t @ kern
-    oh = h @ kern
-    return np.stack([ot.real, ot.imag, oh.real, -oh.imag], axis=-1)
+    # q*z = u*z + (v*conj(z))*j for an i-complex z; BLAS products are not
+    # conjugate-symmetric, so v's product is taken as conj(conj(v) @ kern)
+    u, v = np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128).T.copy()
+    return np.stack([u @ kern, np.conj(np.conj(v) @ kern)], axis=-1).view(np.float64)
 
 
 def energy(f: QSignal2D) -> float:
@@ -308,7 +300,7 @@ def modulated_signal(f: QSignal2D, eps1: int, eps2: int) -> QSignal2D:
     n1, n2 = f.n1, f.n2
     left = np.exp(2j * math.pi * eps1 * np.arange(n1) / n1)
     right = np.exp(2j * math.pi * eps2 * np.arange(n2) / n2)
-    return QSignal2D.from_symplectic(*_pointwise_sandwich(*f.to_symplectic(), left, right))
+    return QSignal2D._adopt(_pointwise_sandwich(f.comps, left, right))
 
 
 def circular_shift(f: QSignal2D, k1: int, k2: int) -> QSignal2D:
@@ -341,11 +333,8 @@ def modulation_rhs(f: QSignal2D, cfg: TransformConfig, eps1: int, eps2: int) -> 
             + cfg.p1.e * (m1 - w1) * g.du1)
     rho2 = (cfg.p2.c * (m2.astype(float) ** 2 - w2.astype(float) ** 2) * g.du2 ** 2
             + cfg.p2.e * (m2 - w2) * g.du2)
-    t, h = F.to_symplectic()
-    ts = t[np.ix_(m1, m2)]
-    hs = h[np.ix_(m1, m2)]
-    out = _pointwise_sandwich(ts, hs, np.exp(1j * rho1), np.exp(1j * rho2))
-    return QSignal2D.from_symplectic(*out)
+    shifted = F.comps[np.ix_(m1, m2)]
+    return QSignal2D._adopt(_pointwise_sandwich(shifted, np.exp(1j * rho1), np.exp(1j * rho2)))
 
 
 def translation_rhs(f: QSignal2D, cfg: TransformConfig, k1: int, k2: int) -> QSignal2D:
@@ -366,16 +355,15 @@ def translation_rhs(f: QSignal2D, cfg: TransformConfig, k1: int, k2: int) -> QSi
         raise IndexError(f"shift ({k1}, {k2}) out of range for grid {(g.n1, g.n2)}")
     xi1 = np.arange(g.n1)
     xi2 = np.arange(g.n2)
-    inner = _pointwise_sandwich(*f.to_symplectic(),
+    inner = _pointwise_sandwich(f.comps,
                                 np.exp(-2j * cfg.p1.a * xi1 * k1 * g.dt1 ** 2),
                                 np.exp(-2j * cfg.p2.a * xi2 * k2 * g.dt2 ** 2))
-    T = forward_direct(QSignal2D.from_symplectic(*inner), cfg)
+    T = forward_direct(QSignal2D._adopt(inner), cfg)
     w1 = np.arange(g.n1)
     w2 = np.arange(g.n2)
     ph1 = cfg.p1.a * k1 * k1 * g.dt1 ** 2 + (2.0 * math.pi / g.n1) * k1 * w1 + cfg.p1.d * k1 * g.dt1
     ph2 = cfg.p2.a * k2 * k2 * g.dt2 ** 2 + (2.0 * math.pi / g.n2) * k2 * w2 + cfg.p2.d * k2 * g.dt2
-    out = _pointwise_sandwich(*T.to_symplectic(), np.exp(-1j * ph1), np.exp(-1j * ph2))
-    return QSignal2D.from_symplectic(*out)
+    return QSignal2D._adopt(_pointwise_sandwich(T.comps, np.exp(-1j * ph1), np.exp(-1j * ph2)))
 
 
 def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:

@@ -151,6 +151,24 @@ def test_conv_shape_mismatch_is_usage_error(tmp_path, example_qcsv):
     assert rc == 2
 
 
+def test_conv_ppm_output_is_usage_error(tmp_path, example_qcsv, capsys):
+    out = tmp_path / "conv.ppm"
+    rc = main(["conv", "--in", str(example_qcsv), "--in2", str(example_qcsv),
+               "--out", str(out)])
+    assert rc == 2
+    assert "convolution output must be qcsv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "inverse", "conv"])
+def test_parameter_flags_documented_on_every_transform_command(command, capsys):
+    assert main([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    for metavar in ("A1,B1,C1,D1,E1:A2,B2,C2,D2,E2", "DT1,DT2"):
+        assert metavar in text
+    assert "named parameter family" in text
+
+
 def _conv_pair(tmp_path, cfg1, cfg2, n1=5, n2=9):
     rng = np.random.default_rng(11)
     paths = tmp_path / "f.qcsv", tmp_path / "g.qcsv"

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dqqpft.fast import make_plan, make_psi
 from dqqpft.params import ParameterError, ParamSet, preset_qft
+from dqqpft.qconv import conv_theorem_rhs
 from dqqpft.quaternion import Quaternion
 from dqqpft.signal import QSignal2D, max_deviation, rel_deviation
 from dqqpft.transform import (
@@ -11,6 +13,7 @@ from dqqpft.transform import (
     RIGHT_SIDED,
     TWO_SIDED,
     TransformConfig,
+    _pointwise_sandwich,
     circular_shift,
     conjugate_transform_decomposition,
     dqft2,
@@ -26,7 +29,7 @@ from dqqpft.transform import (
     right_kernel,
     translation_rhs,
 )
-from oracles import brute_forward, rand_params, rand_signal
+from oracles import brute_forward, expi, expj, rand_params, rand_signal
 
 EXAMPLE_IN = [[35.0, 30.0], [25.0, 20.0]]
 EXAMPLE_OUT = [[55.0, 5.0], [10.0, 0.0]]
@@ -457,3 +460,46 @@ def test_conjugate_general_deviation_is_measured_not_asserted():
     want = forward_direct(fk.conjugate(), cfg1)
     assert got.at(0, 0) == Quaternion(0, 0, 1, 0)   # literal assembly gives +j
     assert want.at(0, 0) == Quaternion(0, 0, 0, -1)  # true transform gives -k
+
+
+# --- the component-array form ----------------------------------------------
+
+@pytest.mark.parametrize("with_left,with_right",
+                         [(True, True), (True, False), (False, True), (False, False)])
+def test_pointwise_sandwich_matches_scalar_product(with_left, with_right):
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        n1, n2 = (int(v) for v in rng.integers(1, 8, size=2))
+        comps = rng.uniform(-1.0, 1.0, size=(n1, n2, 4))
+        comps.flags.writeable = False
+        a = rng.uniform(-4.0, 4.0, size=n1) if with_left else np.zeros(n1)
+        b = rng.uniform(-4.0, 4.0, size=n2) if with_right else np.zeros(n2)
+        got = _pointwise_sandwich(comps, np.exp(1j * a) if with_left else None,
+                                  np.exp(1j * b) if with_right else None)
+        assert got.shape == (n1, n2, 4)
+        for x1 in range(n1):
+            for x2 in range(n2):
+                want = expi(a[x1]) * Quaternion.from_array(comps[x1, x2]) * expj(b[x2])
+                np.testing.assert_allclose(got[x1, x2], want.to_array(), rtol=0, atol=1e-15)
+
+
+def test_array_code_never_builds_the_symplectic_pair(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("array code went through the (t, h) symplectic pair")
+
+    monkeypatch.setattr(QSignal2D, "to_symplectic", refuse)
+    monkeypatch.setattr(QSignal2D, "from_symplectic", refuse)
+    rng = np.random.default_rng(32)
+    f, g = rand_signal(rng, 4, 5), rand_signal(rng, 4, 5)
+    for side in (TWO_SIDED, LEFT_SIDED, RIGHT_SIDED):
+        cfg = rand_cfg(rng, 4, 5, side)
+        assert max_deviation(inverse_direct(forward_direct(f, cfg), cfg), f) < 1e-12
+    cfg = rand_cfg(rng, 4, 5)
+    dqft2(f)
+    dqpft_1d(f.comps[0], cfg.p1)
+    forward_via_dqft(f, cfg)
+    modulated_signal(f, 1, 2)
+    modulation_rhs(f, cfg, 1, 2)
+    translation_rhs(f, cfg, 1, 2)
+    make_psi(f, make_plan(cfg))
+    conv_theorem_rhs(f, g, cfg)

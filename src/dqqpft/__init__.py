@@ -4,7 +4,8 @@ A library and CLI for transforming quaternion-valued 2D grids with
 per-axis quadratic-phase kernels (a, b, c, d, e), covering the plain
 quaternion Fourier, fractional and linear-canonical families as
 parameter choices.  Ships a definitional direct path, an FFT-based fast
-path built on the orthogonal 2D planes split, the matching quadratic-phase
+path built on the orthogonal 2D planes split (home of the library's one
+FFT entry point, on ``numpy.fft``), the matching quadratic-phase
 convolution, qcsv/PPM I/O and a seeded verification harness.
 """
 
@@ -16,7 +17,6 @@ from .fast import (
     make_plan,
     make_psi,
 )
-from .fft import fft2_complex
 from .io import (
     MAPPINGS,
     PpmError,

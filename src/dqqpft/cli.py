@@ -104,15 +104,20 @@ def _resolve_config(args, header_cfg: TransformConfig | None,
         raise UsageError(f"bad flag value: {exc}") from None
 
 
+def _is_ppm(path: str) -> bool:
+    """The format follows the suffix, in any letter case."""
+    return str(path).lower().endswith(".ppm")
+
+
 def _load_signal(path: str, mapping: str) -> tuple[QSignal2D, TransformConfig | None]:
-    if str(path).endswith(".ppm"):
+    if _is_ppm(path):
         return qio.read_image_ppm(path, mapping), None
     sig, cfg = qio.read_qcsv(path)
     return sig, cfg
 
 
 def _save_signal(path: str, sig: QSignal2D, cfg: TransformConfig, mapping: str):
-    if str(path).endswith(".ppm"):
+    if _is_ppm(path):
         qio.write_image_ppm(path, sig, mapping)
     else:
         qio.write_qcsv(path, sig, cfg)
@@ -121,7 +126,7 @@ def _save_signal(path: str, sig: QSignal2D, cfg: TransformConfig, mapping: str):
 def _cmd_forward(args) -> int:
     sig, header_cfg = _load_signal(args.infile, args.mapping)
     cfg = _resolve_config(args, header_cfg, sig.n1, sig.n2)
-    if str(args.outfile).endswith(".ppm"):
+    if _is_ppm(args.outfile):
         raise UsageError("spectra are not range-limited; forward output must be qcsv")
     if args.method == "fast":
         out = forward_fast(sig, make_plan(cfg))
@@ -132,7 +137,7 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
-    if str(args.infile).endswith(".ppm"):
+    if _is_ppm(args.infile):
         raise UsageError("inverse input must be a qcsv spectrum")
     sig, header_cfg = _load_signal(args.infile, args.mapping)
     cfg = _resolve_config(args, header_cfg, sig.n1, sig.n2)
@@ -157,7 +162,7 @@ def _check_conv_headers(cfg1: TransformConfig | None, cfg2: TransformConfig | No
 
 
 def _cmd_conv(args) -> int:
-    if str(args.outfile).endswith(".ppm"):
+    if _is_ppm(args.outfile):
         raise UsageError("convolution output must be qcsv")
     f, header_cfg = _load_signal(args.infile, "pure")
     g, header_cfg2 = _load_signal(args.infile2, "pure")

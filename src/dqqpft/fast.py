@@ -21,6 +21,10 @@ exp(-i*(th1 - th2)) on p+: axis 0 keeps the sign and axis 1, the
 j-axis, takes the flipped one.  The sample is rebuilt as
 u = (p+ + p-)/2 and v = i*(p+ - p-)/2, written straight into the output
 through the same complex view; the 1/2 rides on the last chirp.
+
+``_fft2_raw`` here is the library's one FFT entry point.  It takes one
+exponent sign per axis and runs each axis on ``numpy.fft`` (pocketfft),
+which handles every length, prime lengths included.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fft import _fft2_raw
 from .params import ParameterError
 from .signal import QSignal2D
 from .transform import (
@@ -88,6 +91,23 @@ def make_psi(f: QSignal2D, plan: FastPlan) -> QSignal2D:
     """Pointwise chirp sandwich pre1 * f * pre2; preserves sample norms."""
     _check_dims(f, plan.cfg)
     return QSignal2D._adopt(_pointwise_sandwich(f.comps, plan.pre1, plan.pre2))
+
+
+def _fft_axis(x: np.ndarray, sign: int, axis: int) -> np.ndarray:
+    if sign < 0:
+        return np.fft.fft(x, axis=axis)
+    return np.fft.ifft(x, axis=axis, norm="forward")
+
+
+def _fft2_raw(x: np.ndarray, sign1: int, sign2: int) -> np.ndarray:
+    """Unnormalised 2D transform with one exponent sign per axis.
+
+        X[w1, w2] = sum_x x[x1, x2] * exp(2j*pi*(sign1*x1*w1/N1 + sign2*x2*w2/N2))
+
+    Axis 1 is transformed first, then axis 0, which is the order
+    ``numpy.fft.fft2`` uses; equal signs give its result bit for bit.
+    """
+    return _fft_axis(_fft_axis(x, sign2, 1), sign1, 0)
 
 
 def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> QSignal2D:

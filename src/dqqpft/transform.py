@@ -136,7 +136,8 @@ def right_kernel(cfg: TransformConfig, xi2: int, w2: int) -> complex:
 def _contract(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     # optimize=False keeps the naive O((N1*N2)^2) evaluation order; the
     # matrix-chain shortcut would turn the reference path into a second
-    # fast algorithm and void the benchmark baseline.
+    # fast algorithm and void the direct column of ``dqqpft bench``, the
+    # baseline the fast path's speed-up is measured against.
     return np.einsum("pm,pq,qn->mn", a, x, b, optimize=False)
 
 
@@ -280,6 +281,8 @@ def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
     if not quat and arr.ndim != 1:
         raise ValueError(f"expected a 1D vector or an (N, 4) array, got shape {arr.shape}")
     n = arr.shape[0]
+    if n == 0:
+        raise ValueError("dqpft_1d needs at least one sample")
     du = 2.0 * math.pi * p.b / (n * dt)
     kern = _kernel_matrix(p, n, dt, du)
     if not quat:

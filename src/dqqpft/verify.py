@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fast import dqft2_via_fft, forward_fast, inverse_fast, make_plan
-from .fft import fft2_complex
+from .fast import _fft2_raw, dqft2_via_fft, forward_fast, inverse_fast, make_plan
 from .params import ParamSet, preset_qfrft, preset_qft, preset_qlct
 from .qconv import conv_theorem_check, qp_convolve
 from .quaternion import J, Quaternion, embed_complex, qmul, scalar_part
@@ -77,10 +76,10 @@ def _rand_cfg(rng, n1: int, n2: int, side=None):
     return make_config(_rand_params(rng), _rand_params(rng), n1, n2, dt1, dt2, **kwargs)
 
 
-def _naive_dft2(x: np.ndarray, sign: int) -> np.ndarray:
+def _naive_dft2(x: np.ndarray, sign1: int, sign2: int) -> np.ndarray:
     n1, n2 = x.shape
-    w1 = np.exp(sign * 2j * np.pi * np.outer(np.arange(n1), np.arange(n1)) / n1)
-    w2 = np.exp(sign * 2j * np.pi * np.outer(np.arange(n2), np.arange(n2)) / n2)
+    w1 = np.exp(sign1 * 2j * np.pi * np.outer(np.arange(n1), np.arange(n1)) / n1)
+    w2 = np.exp(sign2 * 2j * np.pi * np.outer(np.arange(n2), np.arange(n2)) / n2)
     return w1.T @ x @ w2
 
 
@@ -126,18 +125,21 @@ def _quaternion_algebra(rng, results):
 
 
 def _fft_properties(rng, results):
+    # every sign pair: the fast path runs (-1, +1) and (+1, -1) on p+
+    signs = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     sizes = [(1, 1), (1, 4), (2, 3), (4, 4), (5, 7), (6, 10), (8, 8), (9, 3), (16, 16)]
     sizes += [tuple(rng.integers(1, 17, size=2)) for _ in range(12)]
     dev_oracle = 0.0
     dev_round = 0.0
     for n1, n2 in sizes:
         x = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
-        fwd = fft2_complex(x, "forward")
-        ref = _naive_dft2(x, -1)
-        scale = max(np.max(np.abs(ref)), 1e-30)
-        dev_oracle = max(dev_oracle, float(np.max(np.abs(fwd - ref))) / scale)
-        back = fft2_complex(fwd, "inverse")
-        dev_round = max(dev_round, float(np.max(np.abs(back - x))))
+        for s1, s2 in signs:
+            fwd = _fft2_raw(x, s1, s2)
+            ref = _naive_dft2(x, s1, s2)
+            scale = max(np.max(np.abs(ref)), 1e-30)
+            dev_oracle = max(dev_oracle, float(np.max(np.abs(fwd - ref))) / scale)
+            back = _fft2_raw(fwd, -s1, -s2) / (n1 * n2)
+            dev_round = max(dev_round, float(np.max(np.abs(back - x))))
     results.append(PropertyResult("fft-vs-naive-dft", dev_oracle, 1e-11))
     results.append(PropertyResult("fft-roundtrip", dev_round, 1e-11))
 
@@ -417,24 +419,11 @@ def _alt_dqft2(psi: QSignal2D) -> QSignal2D:
     its deviation can be measured, never to compute.
     """
     t, h = psi.to_symplectic()
-    c = _mixed_axis_grid(fft2_complex(t), fft2_complex(h)).comps
+    c = _mixed_axis_grid(_fft2_raw(t, -1, -1), _fft2_raw(h, -1, -1)).comps
     cr = _reflect(c, 1)
     one_minus_k = Quaternion(1.0, 0.0, 0.0, -1.0).to_array()
     one_plus_k = Quaternion(1.0, 0.0, 0.0, 1.0).to_array()
     return QSignal2D(0.5 * (qmul(one_minus_k, c) + qmul(one_plus_k, cr)))
-
-
-def _alt_recombination(psi_tilde_fft: np.ndarray, psi_hat_fft: np.ndarray,
-                       w1: int, w2: int) -> Quaternion:
-    """Single-sample version of ``_alt_dqft2`` working from raw FFT grids."""
-    grid = _mixed_axis_grid(np.asarray(psi_tilde_fft, dtype=np.complex128),
-                            np.asarray(psi_hat_fft, dtype=np.complex128))
-    n2 = grid.n2
-    q = grid.at(w1, w2)
-    qr = grid.at(w1, (n2 - w2) % n2)
-    one_minus_k = Quaternion(1.0, 0.0, 0.0, -1.0)
-    one_plus_k = Quaternion(1.0, 0.0, 0.0, 1.0)
-    return (one_minus_k * q + one_plus_k * qr) * 0.5
 
 
 def _fast_internals(rng, results):

@@ -92,11 +92,11 @@ def qlct_kernel(a: float, b: float, d: float, n: int, dt: float) -> np.ndarray:
                         + (d / (2.0 * b)) * w * w * du * du)) / math.sqrt(n)
 
 
-def naive_dft2(x: np.ndarray, sign: int) -> np.ndarray:
-    """Matrix-form O(N^2)-per-axis DFT, no fast algorithm involved."""
+def naive_dft2(x: np.ndarray, sign1: int, sign2: int) -> np.ndarray:
+    """Matrix-form O(N^2)-per-axis DFT with one exponent sign per axis."""
     n1, n2 = x.shape
-    w1 = np.exp(sign * 2j * np.pi * np.outer(np.arange(n1), np.arange(n1)) / n1)
-    w2 = np.exp(sign * 2j * np.pi * np.outer(np.arange(n2), np.arange(n2)) / n2)
+    w1 = np.exp(sign1 * 2j * np.pi * np.outer(np.arange(n1), np.arange(n1)) / n1)
+    w2 = np.exp(sign2 * 2j * np.pi * np.outer(np.arange(n2), np.arange(n2)) / n2)
     return w1.T @ x @ w2
 
 

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from dqqpft.bench import run_bench
-from dqqpft.fast import forward_fast, make_plan
-from dqqpft.fft import fft2_complex
+from dqqpft.fast import _fft2_raw, forward_fast, make_plan
 from dqqpft.params import ParamSet, preset_qfrft, preset_qft, preset_qlct
 from dqqpft.qconv import conv_theorem_check, qp_convolve
 from dqqpft.signal import QSignal2D, max_deviation, rel_deviation
@@ -260,11 +259,12 @@ def test_criterion_09_fft_vs_naive_dft_all_sizes():
     for n1 in range(1, 17):
         for n2 in range(1, 17):
             x = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
-            got = fft2_complex(x)
-            ref = naive_dft2(x, -1)
-            worst = max(worst, float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))))
+            for sign1, sign2 in [(-1, -1), (-1, 1), (1, -1), (1, 1)]:
+                got = _fft2_raw(x, sign1, sign2)
+                ref = naive_dft2(x, sign1, sign2)
+                worst = max(worst, float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))))
     assert worst <= 1e-11, f"fft deviation {worst:.3e}"
-    _pass(9, "fft matches the naive DFT on every size pair up to 16",
+    _pass(9, "fft matches the naive DFT on every size pair up to 16, every sign pair",
           f"max rel dev {worst:.2e}")
 
 

@@ -4,7 +4,7 @@ import pytest
 import dqqpft.cli
 import dqqpft.qconv
 from dqqpft.cli import main
-from dqqpft.io import read_qcsv, write_qcsv
+from dqqpft.io import read_image_ppm, read_qcsv, write_image_ppm, write_qcsv
 from dqqpft.params import parse_param_pair, preset_qft
 from dqqpft.qconv import conv_theorem_check, qp_convolve
 from dqqpft.signal import QSignal2D, rel_deviation
@@ -75,6 +75,41 @@ def test_ppm_forward_and_inverse(tmp_path):
     assert main(["inverse", "--in", str(spec), "--out", str(back)]) == 0
     got = read_image_ppm(back, "pure")
     np.testing.assert_array_equal(got.comps, img.comps)
+
+
+def _rgb_image(path, seed):
+    rgb = np.random.default_rng(seed).integers(0, 256, size=(3, 2, 3))
+    img = QSignal2D.from_components(np.zeros((3, 2)), rgb[..., 0], rgb[..., 1], rgb[..., 2])
+    write_image_ppm(path, img, "pure")
+    return img
+
+
+def test_upper_case_ppm_input_is_read_as_image(tmp_path):
+    _rgb_image(tmp_path / "a.PPM", 2)
+    _rgb_image(tmp_path / "b.ppm", 2)
+    for name in ("a.PPM", "b.ppm"):
+        assert main(["forward", "--preset", "qft", "--in", str(tmp_path / name),
+                     "--out", str(tmp_path / f"{name}.qcsv")]) == 0
+    assert (tmp_path / "a.PPM.qcsv").read_bytes() == (tmp_path / "b.ppm.qcsv").read_bytes()
+
+
+def test_upper_case_ppm_conv_output_is_usage_error(tmp_path, example_qcsv, capsys):
+    out = tmp_path / "x.PPM"
+    assert main(["conv", "--in", str(example_qcsv), "--in2", str(example_qcsv),
+                 "--out", str(out)]) == 2
+    assert "convolution output must be qcsv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_upper_case_ppm_inverse_output_is_written_as_image(tmp_path):
+    img = _rgb_image(tmp_path / "img.ppm", 3)
+    spec = tmp_path / "spec.qcsv"
+    back = tmp_path / "b.PPM"
+    assert main(["forward", "--preset", "qft", "--in", str(tmp_path / "img.ppm"),
+                 "--out", str(spec)]) == 0
+    assert main(["inverse", "--in", str(spec), "--out", str(back)]) == 0
+    assert back.read_bytes().startswith(b"P6")
+    np.testing.assert_array_equal(read_image_ppm(back, "pure").comps, img.comps)
 
 
 def test_usage_errors_exit_2(tmp_path, example_qcsv, capsys):

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import dqqpft.fast
 from dqqpft.fast import (
+    _fft2_raw,
     dqft2_via_fft,
     forward_fast,
     inverse_fast,
     make_plan,
     make_psi,
 )
-from dqqpft.fft import fft2_complex
 from dqqpft.params import ParameterError, preset_qft
 from dqqpft.signal import QSignal2D, max_deviation, rel_deviation
 from dqqpft.transform import (
@@ -24,8 +24,8 @@ from dqqpft.transform import (
     inverse_direct,
     make_config,
 )
-from dqqpft.verify import _alt_dqft2, _alt_recombination, _mixed_axis_grid
-from oracles import rand_params, rand_signal
+from dqqpft.verify import _alt_dqft2, _mixed_axis_grid
+from oracles import naive_dft2, rand_params, rand_signal
 
 EXAMPLE_IN = [[35.0, 30.0], [25.0, 20.0]]
 EXAMPLE_OUT = [[55.0, 5.0], [10.0, 0.0]]
@@ -88,6 +88,26 @@ def test_make_psi_preserves_energy():
         f = rand_signal(rng, n1, n2)
         psi = make_psi(f, make_plan(rand_cfg(rng, n1, n2)))
         assert energy(psi) == pytest.approx(energy(f), rel=1e-12)
+
+
+# --- plane FFT ---------------------------------------------------------------
+
+@pytest.mark.parametrize("sign1,sign2", [(-1, -1), (-1, 1), (1, -1), (1, 1)])
+def test_raw_transform_takes_one_sign_per_axis(sign1, sign2):
+    rng = np.random.default_rng(3)
+    for n1, n2 in [(1, 1), (1, 7), (7, 1), (5, 6), (13, 17), (1, 13), (16, 3), (12, 12),
+                   (1, 17), (1, 31), (1, 100), (1, 129), (257, 3), (3, 251)]:
+        x = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
+        want = naive_dft2(x, sign1, sign2)
+        np.testing.assert_allclose(_fft2_raw(x, sign1, sign2), want, atol=1e-12 * n1 * n2)
+
+
+def test_raw_transform_with_equal_signs_is_numpy_fft2():
+    rng = np.random.default_rng(4)
+    for n1, n2 in [(257, 3), (96, 250), (1, 7)]:
+        x = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
+        np.testing.assert_array_equal(_fft2_raw(x, -1, -1), np.fft.fft2(x))
+        np.testing.assert_array_equal(_fft2_raw(x, 1, 1), np.fft.ifft2(x, norm="forward"))
 
 
 # --- quaternion DFT via two complex FFTs ------------------------------------
@@ -197,17 +217,19 @@ def test_fast_matches_direct_at_prime_and_skinny_shapes(n1, n2):
 @pytest.mark.parametrize("transform", [forward_fast, inverse_fast])
 def test_each_transform_makes_two_fft_calls(monkeypatch, transform):
     # one plain complex DFT per plane; perfbench traces this very name
-    shapes = []
+    calls = []
     raw = dqqpft.fast._fft2_raw
 
     def counting(x, sign1, sign2):
-        shapes.append(x.shape)
+        calls.append((x.shape, sign1, sign2))
         return raw(x, sign1, sign2)
 
     monkeypatch.setattr(dqqpft.fast, "_fft2_raw", counting)
     rng = np.random.default_rng(13)
     transform(rand_signal(rng, 6, 5), make_plan(rand_cfg(rng, 6, 5)))
-    assert shapes == [(6, 5), (6, 5)]
+    # p+ first, with the j-axis sign flipped, then p-
+    signs = [(-1, 1), (-1, -1)] if transform is forward_fast else [(1, -1), (1, 1)]
+    assert calls == [((6, 5),) + pair for pair in signs]
 
 
 # --- output adopted without a copy ------------------------------------------
@@ -253,24 +275,11 @@ def test_alt_recombination_collapses_for_axis2_even_real_signal():
     even = np.concatenate([base, base[:, 1:][:, ::-1]], axis=1)  # n2 = 5, even
     psi = QSignal2D.from_real(even)
     t, h = psi.to_symplectic()
-    pt = fft2_complex(t)
-    ph = fft2_complex(h)
+    pt = _fft2_raw(t, -1, -1)
+    ph = _fft2_raw(h, -1, -1)
     got = _alt_dqft2(psi)
     want = _mixed_axis_grid(pt, ph)
     assert max_deviation(got, want) < 1e-10
-
-
-def test_alt_recombination_pointwise_matches_grid():
-    rng = np.random.default_rng(11)
-    psi = rand_signal(rng, 3, 4)
-    t, h = psi.to_symplectic()
-    pt = fft2_complex(t)
-    ph = fft2_complex(h)
-    grid = _alt_dqft2(psi)
-    for w1 in range(3):
-        for w2 in range(4):
-            q = _alt_recombination(pt, ph, w1, w2)
-            assert (q - grid.at(w1, w2)).norm() < 1e-12
 
 
 def test_alt_recombination_deviation_is_recorded_not_asserted():

@@ -313,6 +313,9 @@ def test_dqpft_1d_validation():
         dqpft_1d(np.ones(4), p, 0.0)
     with pytest.raises(ValueError):
         dqpft_1d(np.ones((4, 3)), p, 1.0)
+    for empty in (np.ones(0), np.ones((0, 4))):
+        with pytest.raises(ValueError, match="at least one sample"):
+            dqpft_1d(empty, p, 1.0)
 
 
 # --- energy ---------------------------------------------------------------

@@ -124,10 +124,10 @@ def _save_signal(path: str, sig: QSignal2D, cfg: TransformConfig, mapping: str):
 
 
 def _cmd_forward(args) -> int:
-    sig, header_cfg = _load_signal(args.infile, args.mapping)
-    cfg = _resolve_config(args, header_cfg, sig.n1, sig.n2)
     if _is_ppm(args.outfile):
         raise UsageError("spectra are not range-limited; forward output must be qcsv")
+    sig, header_cfg = _load_signal(args.infile, args.mapping)
+    cfg = _resolve_config(args, header_cfg, sig.n1, sig.n2)
     if args.method == "fast":
         out = forward_fast(sig, make_plan(cfg))
     else:

@@ -120,12 +120,14 @@ def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> Q
     (left0, right0), (left1, right1) = pre, post
     left1 = left1 * (0.5 * scale)
     uv = comps.view(np.complex128)
-    u, iv = uv[..., 0], 1j * uv[..., 1]
-    plus = u - iv
+    u = uv[..., 0]
+    # i*v becomes p- in place, so no third plane stays alive
+    minus = 1j * uv[..., 1]
+    plus = u - minus
+    minus += u
     plus *= np.outer(left0, np.conj(right0))
     plus = _fft2_raw(plus, sign, -sign)
     plus *= np.outer(left1, np.conj(right1))
-    minus = u + iv
     minus *= np.outer(left0, right0)
     minus = _fft2_raw(minus, sign, sign)
     minus *= np.outer(left1, right1)

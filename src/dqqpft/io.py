@@ -11,11 +11,14 @@ qcsv is a line-oriented text format.  After optional comment lines
 Values are written with 17 significant digits so a write/read round
 trip reproduces every float64 bit-exactly.  The writer formats the samples
 in blocks of rows with one C-level ``%`` per block.  The reader parses the
-header line by line, then hands the sample lines to one ``numpy.loadtxt``
-call; the result is kept only if it has exactly n1*n2 rows of four finite
-values.  Any other body (comments or blank lines among the samples,
-malformed or non-finite values, a wrong count) is parsed again line by
-line, and that loop alone raises the sample errors, naming the bad line.
+header line by line, then reads the body in blocks of lines straight from
+the open file, so a file, or a pipe, is never held as one string and the
+memory held is about one grid.  Each block goes to one ``numpy.loadtxt``
+call, kept only if it gives rows of four finite values and no more than
+the samples still due.  Any other block (comments or blank lines among the
+samples, malformed or non-finite values, extra samples) is parsed again
+line by line, and that loop alone raises the sample errors, naming the bad
+line.  A non-ASCII byte anywhere raises an error naming its line.
 
 PPM support covers the 8-bit P3 (ASCII) and P6 (binary) flavours; a P3
 raster is tokenised in bulk with one regular expression.  The
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import islice
 
 import numpy as np
 
@@ -48,7 +52,8 @@ __all__ = [
 MAPPINGS = ("pure", "luminance")
 
 _SAMPLE_FORMAT = "%.17g,%.17g,%.17g,%.17g\n"
-_WRITE_BLOCK_ROWS = 1 << 16
+# sample lines per read or write block: bounds the text held at once
+_BLOCK_ROWS = 1 << 12
 # a PPM token, or a comment: '#' opens one only at the start of a token
 _PPM_TOKEN = re.compile(rb"#[^\r\n]*|[^ \t\r\n]+")
 
@@ -66,12 +71,19 @@ class PpmError(ValueError):
     """Unsupported or malformed PPM content."""
 
 
-def _payload_lines(raw_lines: list[str]):
-    for lineno, raw in enumerate(raw_lines, start=1):
+def _payload_lines(lines, first: int = 1):
+    """(line number, stripped text) of the lines that are neither blank nor comments.
+
+    ``lines`` are numbered from ``first``.  A line holding a byte past
+    ASCII (read as an escaped surrogate) raises, naming that line.
+    """
+    for lineno, raw in enumerate(lines, start=first):
+        if not raw.isascii():
+            byte = next(ord(ch) - 0xDC00 for ch in raw if not ch.isascii())
+            raise QcsvError(lineno, f"non-ASCII byte 0x{byte:02x}; qcsv is ASCII text")
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
 
 
 def _split_floats(lineno: int, text: str, count: int, what: str) -> list[float]:
@@ -87,83 +99,103 @@ def _split_floats(lineno: int, text: str, count: int, what: str) -> list[float]:
     return out
 
 
-def _loadtxt_body(body: list[str], count: int) -> np.ndarray | None:
-    """The samples parsed in C, or None when ``_loop_body`` must decide.
+def _loadtxt_body(block: list[str], room: int) -> np.ndarray | None:
+    """The block's samples parsed in C, or None when ``_loop_body`` must decide.
 
     With ``comments=None`` numpy skips only empty lines and parses a field
-    only where ``float`` does, to the same bits, so an accepted body is one
-    the loop accepts with the same values.
+    only where ``float`` does, to the same bits, so an accepted block is one
+    the loop accepts with the same values.  A block of more than ``room``
+    samples is left to the loop, which names the first extra line.
     """
-    if len(body) < count or not any(body):  # loadtxt warns on an all-empty body
+    if not any(map(str.strip, block)):  # loadtxt warns on a block without data
         return None
     try:
-        comps = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        comps = np.loadtxt(block, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except ValueError:
         return None
-    if comps.shape != (count, 4) or not np.isfinite(comps).all():
+    if comps.shape[1] != 4 or len(comps) > room or not np.isfinite(comps).all():
         return None
     return comps
 
 
-def _loop_body(lines, lineno: int, count: int, max_rows: int) -> np.ndarray:
+def _loop_body(lines, seen: int, count: int) -> np.ndarray:
     """Parse the sample lines one by one; raises the sample ``QcsvError``s.
 
-    ``lines`` yields (line number, text) pairs; ``lineno`` is the last
-    header line, cited when the body is empty.
+    ``lines`` yields (line number, text) pairs; ``seen`` of the ``count``
+    samples precede them.
     """
-    # the header is untrusted: never reserve more rows than the file has lines
-    comps = np.empty((min(count, max_rows), 4))
-    seen = 0
-    last_line = lineno
+    rows = []
     for lineno, body in lines:
-        if seen >= count:
+        index = seen + len(rows)
+        if index >= count:
             raise QcsvError(lineno, f"extra sample line; expected exactly {count}")
-        vals = _split_floats(lineno, body, 4, f"sample {seen}")
+        vals = _split_floats(lineno, body, 4, f"sample {index}")
         if not all(math.isfinite(v) for v in vals):
-            raise QcsvError(lineno, f"sample {seen} holds a non-finite value")
-        comps[seen] = vals
-        seen += 1
-        last_line = lineno
+            raise QcsvError(lineno, f"sample {index} holds a non-finite value")
+        rows.append(vals)
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+def _read_body(fh, lineno: int, count: int) -> np.ndarray:
+    """The ``count`` samples after header line ``lineno``, read in blocks of lines.
+
+    Rows are kept only as the file yields them: an untrusted header never
+    reserves memory, and the file is never held whole.
+    """
+    parts = []
+    seen = 0
+    tail = (lineno + 1, [])  # the last block that held samples, and its first line
+    while block := list(islice(fh, _BLOCK_ROWS)):
+        part = _loadtxt_body(block, count - seen)
+        if part is None:
+            part = _loop_body(_payload_lines(block, lineno + 1), seen, count)
+        if len(part):
+            parts.append(part)
+            seen += len(part)
+            tail = (lineno + 1, block)
+        lineno += len(block)
     if seen < count:
+        last_line = tail[0] - 1
+        for last_line, _ in _payload_lines(tail[1], tail[0]):
+            pass
         raise QcsvError(last_line + 1, f"missing sample {seen} of {count} (body truncated)")
-    return comps
+    return np.concatenate(parts)
 
 
 def read_qcsv(path) -> tuple[QSignal2D, TransformConfig]:
     """Load a quaternion grid and the transform config stored with it."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw_lines = fh.read().splitlines()
-    lines = _payload_lines(raw_lines)
+    # surrogateescape carries a non-ASCII byte into the line that holds it,
+    # where _payload_lines names it
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        lines = _payload_lines(fh)
 
-    def next_line(what: str):
+        def next_line(what: str):
+            try:
+                return next(lines)
+            except StopIteration:
+                raise QcsvError(None, f"unexpected end of file: missing {what}") from None
+
+        lineno, dims = next_line("size header")
+        parts = dims.split(",")
+        if len(parts) != 2:
+            raise QcsvError(lineno, "size header must be 'n1,n2'")
         try:
-            return next(lines)
-        except StopIteration:
-            raise QcsvError(None, f"unexpected end of file: missing {what}") from None
+            n1, n2 = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise QcsvError(lineno, f"size header must hold integers, got {dims!r}") from None
+        if n1 < 1 or n2 < 1:
+            raise QcsvError(lineno, f"sizes must be positive, got {n1},{n2}")
 
-    lineno, dims = next_line("size header")
-    parts = dims.split(",")
-    if len(parts) != 2:
-        raise QcsvError(lineno, "size header must be 'n1,n2'")
-    try:
-        n1, n2 = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise QcsvError(lineno, f"size header must hold integers, got {dims!r}") from None
-    if n1 < 1 or n2 < 1:
-        raise QcsvError(lineno, f"sizes must be positive, got {n1},{n2}")
+        lineno, steps = next_line("sampling-step header")
+        dt1, dt2 = _split_floats(lineno, steps, 2, "sampling steps")
 
-    lineno, steps = next_line("sampling-step header")
-    dt1, dt2 = _split_floats(lineno, steps, 2, "sampling steps")
+        lineno, ptext = next_line("parameter header")
+        try:
+            p1, p2 = parse_param_pair(ptext)
+        except ParameterError as exc:
+            raise QcsvError(lineno, str(exc)) from None
 
-    lineno, ptext = next_line("parameter header")
-    try:
-        p1, p2 = parse_param_pair(ptext)
-    except ParameterError as exc:
-        raise QcsvError(lineno, str(exc)) from None
-
-    comps = _loadtxt_body(raw_lines[lineno:], n1 * n2)
-    if comps is None:
-        comps = _loop_body(lines, lineno, n1 * n2, len(raw_lines))
+        comps = _read_body(fh, lineno, n1 * n2)
 
     try:
         grid = make_grid(n1, n2, dt1, dt2, p1, p2)
@@ -187,8 +219,8 @@ def write_qcsv(path, signal: QSignal2D, cfg: TransformConfig) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(header) + "\n")
         # bounded blocks: the file is never held as one string
-        for start in range(0, len(flat), _WRITE_BLOCK_ROWS):
-            block = flat[start:start + _WRITE_BLOCK_ROWS]
+        for start in range(0, len(flat), _BLOCK_ROWS):
+            block = flat[start:start + _BLOCK_ROWS]
             fh.write(_SAMPLE_FORMAT * len(block) % tuple(block.ravel().tolist()))
 
 

@@ -4,9 +4,12 @@ Everything here is deliberately written with scalar quaternion
 arithmetic, explicit kernel matrices or, for ``loop_qp_convolve``, the
 per-output ``qmul`` loop the matrix form of ``qp_convolve`` replaced,
 never through the vectorised production code paths it is checking.
+The seeded input generators and the traced-memory gauge at the end are
+shared by the test modules.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -155,3 +158,13 @@ def rand_params(rng) -> ParamSet:
 
 def rand_signal(rng, n1: int, n2: int) -> QSignal2D:
     return QSignal2D(rng.uniform(-1.0, 1.0, size=(n1, n2, 4)))
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced while ``fn(*args)`` runs; numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

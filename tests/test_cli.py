@@ -144,6 +144,21 @@ def test_io_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_forward_ppm_output_is_rejected_before_reading_input(tmp_path, capsys):
+    out = tmp_path / "o.ppm"
+    assert main(["forward", "--preset", "qft", "--in", str(tmp_path / "missing.ppm"),
+                 "--out", str(out)]) == 2
+    assert "forward output must be qcsv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_ascii_qcsv_exits_3_naming_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.qcsv"
+    bad.write_bytes(b"2,2\n1,1\n0,1,0,0,0:0,1,0,0,0\n1,0,0,0\n2,\x82,0,0\n3,0,0,0\n4,0,0,0\n")
+    assert main(["forward", "--in", str(bad), "--out", str(tmp_path / "o.qcsv")]) == 3
+    assert "line 5: non-ASCII byte 0x82" in capsys.readouterr().err
+
+
 def test_conv_with_check_report(tmp_path, example_qcsv, capsys):
     out = tmp_path / "conv.qcsv"
     rc = main(["conv", "--in", str(example_qcsv), "--in2", str(example_qcsv),

@@ -25,7 +25,7 @@ from dqqpft.transform import (
     make_config,
 )
 from dqqpft.verify import _alt_dqft2, _mixed_axis_grid
-from oracles import naive_dft2, rand_params, rand_signal
+from oracles import naive_dft2, rand_params, rand_signal, traced_peak
 
 EXAMPLE_IN = [[35.0, 30.0], [25.0, 20.0]]
 EXAMPLE_OUT = [[55.0, 5.0], [10.0, 0.0]]
@@ -245,6 +245,16 @@ def test_output_is_read_only_contiguous_and_unshared(transform):
     assert not np.shares_memory(out.comps, f.comps)
     with pytest.raises(ValueError):
         out.comps[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("transform", [forward_fast, inverse_fast])
+def test_transform_keeps_two_planes_and_the_output_alive(transform):
+    # at most p+, p- and one FFT's intermediate and output are alive at once,
+    # each half the input's size
+    rng = np.random.default_rng(17)
+    f = rand_signal(rng, 256, 512)
+    plan = make_plan(rand_cfg(rng, 256, 512))
+    assert traced_peak(transform, f, plan) <= 2.4 * f.comps.nbytes
 
 
 @pytest.mark.parametrize("transform", [forward_fast, inverse_fast])

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from dqqpft.io import (
 from dqqpft.params import format_param_pair, preset_qft
 from dqqpft.signal import QSignal2D
 from dqqpft.transform import make_config
-from oracles import rand_params, rand_signal
+from oracles import rand_params, rand_signal, traced_peak
 
 
 def rand_cfg(rng, n1, n2):
@@ -109,7 +112,7 @@ def wide_range_comps(rng, n1, n2):
     return rng.standard_normal((n1, n2, 4)) * 10.0 ** rng.integers(-300, 300, size=(n1, n2, 4))
 
 
-@pytest.mark.parametrize("n1, n2", [(257, 3), (257, 257)])  # 257**2 rows span two write blocks
+@pytest.mark.parametrize("n1, n2", [(257, 3), (257, 257)])  # 257**2 rows span 17 write blocks
 def test_write_qcsv_matches_per_value_formatting(tmp_path, n1, n2):
     rng = np.random.default_rng(10)
     cfg = rand_cfg(rng, n1, n2)
@@ -140,7 +143,7 @@ def test_qcsv_roundtrip_is_bit_exact_at_96x250(tmp_path):
     body = path.read_text().splitlines()[4:]
     fast = _loadtxt_body(body, 96 * 250)
     assert fast is not None
-    np.testing.assert_array_equal(fast, _loop_body(enumerate(body, start=5), 4, 96 * 250, len(body)))
+    np.testing.assert_array_equal(fast, _loop_body(enumerate(body, start=5), 0, 96 * 250))
 
 
 HEADER_2X2 = "2,2\n1,1\n0,1,0,0,0:0,1,0,0,0\n"  # samples start on line 4
@@ -171,6 +174,75 @@ def test_qcsv_bad_body_cites_its_line(tmp_path, body, line, message):
     with pytest.raises(QcsvError, match=message) as err:
         read_qcsv(path)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("text, line", [
+    ("2,2\n1,1\n0,1,0,0,0:0,1,0,0,0\u00b5\n" + "1,0,0,0\n" * 4, 3),
+    (HEADER_2X2 + "1,0,0,0\n2,0,0,0\n3,\u00e9,0,0\n4,0,0,0\n", 6),
+    (HEADER_2X2 + "1,0,0,0\n# na\u00efve\n2,0,0,0\n3,0,0,0\n4,0,0,0\n", 5),
+], ids=["header", "sample", "comment"])
+def test_qcsv_non_ascii_byte_names_its_line(tmp_path, text, line):
+    path = tmp_path / "bad.qcsv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(QcsvError, match="non-ASCII byte 0xc") as err:
+        read_qcsv(path)
+    assert err.value.line == line
+
+
+def signal_256x512():
+    rng = np.random.default_rng(13)
+    return QSignal2D(wide_range_comps(rng, 256, 512)), rand_cfg(rng, 256, 512)
+
+
+def test_read_qcsv_memory_is_about_one_grid(tmp_path):
+    # the body is read in blocks: the samples plus their concatenation,
+    # never the file as one string
+    sig, cfg = signal_256x512()
+    path = tmp_path / "sig.qcsv"
+    write_qcsv(path, sig, cfg)
+    assert traced_peak(read_qcsv, path) <= 3 * sig.comps.nbytes
+
+
+def test_write_qcsv_memory_is_below_one_grid(tmp_path):
+    sig, cfg = signal_256x512()
+    assert traced_peak(write_qcsv, tmp_path / "sig.qcsv", sig, cfg) <= sig.comps.nbytes
+
+
+def test_qcsv_huge_header_reserves_no_memory(tmp_path):
+    path = tmp_path / "huge.qcsv"
+    path.write_text("100000,100000\n1,1\n0,1,0,0,0:0,1,0,0,0\n1,0,0,0\n")
+
+    def read_truncated():
+        with pytest.raises(QcsvError, match="missing sample 1 of 10000000000"):
+            read_qcsv(path)
+
+    assert traced_peak(read_truncated) < 2**20
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_qcsv_is_read_from_a_pipe(tmp_path):
+    rng = np.random.default_rng(14)
+    cfg = rand_cfg(rng, 70, 70)  # 4900 sample lines: more than one read block
+    path = tmp_path / "sig.qcsv"
+    write_qcsv(path, rand_signal(rng, 70, 70), cfg)
+    fifo = tmp_path / "sig.fifo"
+    os.mkfifo(fifo)
+    data = path.read_bytes()
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        piped, piped_cfg = read_qcsv(fifo)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    sig, file_cfg = read_qcsv(path)
+    np.testing.assert_array_equal(piped.comps, sig.comps)
+    assert piped_cfg == file_cfg
 
 
 def test_ppm_binary_roundtrip(tmp_path):

@@ -34,7 +34,6 @@ from .params import (
     make_grid,
     parse_param_pair,
     parse_preset,
-    preset,
     preset_qfrft,
     preset_qft,
     preset_qlct,
@@ -46,19 +45,12 @@ from .quaternion import (
     K,
     ONE,
     Quaternion,
-    conjugate,
     embed_complex,
-    mul,
-    norm,
-    norm_sq,
     qconj,
     qmul,
     qnorm_sq,
-    scalar_part,
-    symplectic_join,
-    symplectic_split,
 )
-from .signal import QSignal2D, lmul, max_deviation, rel_deviation, rmul
+from .signal import QSignal2D, max_deviation, rel_deviation
 from .transform import (
     LEFT_SIDED,
     RIGHT_SIDED,

@@ -13,7 +13,7 @@ from . import io as qio
 from . import verify as verify_mod
 from .bench import format_table, run_bench
 from .fast import forward_fast, inverse_fast, make_plan
-from .params import ParameterError, parse_param_pair, parse_preset
+from .params import ParameterError, _parse_floats, parse_param_pair, parse_preset
 from .qconv import conv_theorem_check, qp_convolve
 from .signal import QSignal2D
 from .transform import TWO_SIDED, TransformConfig, forward_direct, inverse_direct, make_config
@@ -23,6 +23,19 @@ __all__ = ["main", "run"]
 
 class UsageError(Exception):
     """Bad flag combination or flag value; maps to exit code 2."""
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,11 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.set_defaults(func=_cmd_conv)
 
     ver = sub.add_parser("verify", help="run the seeded invariant suite")
-    ver.add_argument("--seed", type=int, default=42)
+    ver.add_argument("--seed", type=_int_at_least(0), default=42)
     ver.set_defaults(func=_cmd_verify)
 
     ben = sub.add_parser("bench", help="time direct vs fast at 16, 32 and 64 square")
-    ben.add_argument("--repeats", type=int, default=3)
+    ben.add_argument("--repeats", type=_int_at_least(1), default=3)
     ben.set_defaults(func=_cmd_bench)
     return parser
 
@@ -89,10 +102,7 @@ def _resolve_config(args, header_cfg: TransformConfig | None,
         else:
             raise UsageError("image input needs --params or --preset")
         if args.dt:
-            parts = args.dt.split(",")
-            if len(parts) != 2:
-                raise UsageError("--dt expects two comma-separated steps")
-            dt1, dt2 = float(parts[0]), float(parts[1])
+            dt1, dt2 = _parse_floats(args.dt, 2, "--dt")
         elif header_cfg is not None:
             dt1, dt2 = header_cfg.grid.dt1, header_cfg.grid.dt2
         else:

@@ -138,16 +138,10 @@ def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> Q
     return QSignal2D._adopt(out.view(np.float64))
 
 
-def dqft2_via_fft(psi: QSignal2D, direction: str = "forward") -> QSignal2D:
+def dqft2_via_fft(psi: QSignal2D) -> QSignal2D:
     """Unnormalised two-sided quaternion DFT through two complex FFTs."""
-    if direction == "forward":
-        sign = -1
-    elif direction == "inverse":
-        sign = +1
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     unit = (np.ones(psi.n1), np.ones(psi.n2))
-    return _chirp_dft_chirp(psi.comps, unit, unit, sign, 1.0)
+    return _chirp_dft_chirp(psi.comps, unit, unit, -1, 1.0)
 
 
 def _scale(plan: FastPlan) -> float:

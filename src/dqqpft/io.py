@@ -35,7 +35,7 @@ from itertools import islice
 
 import numpy as np
 
-from .params import ParameterError, ParamSet, format_param_pair, make_grid, parse_param_pair
+from .params import ParameterError, _parse_floats, format_param_pair, make_grid, parse_param_pair
 from .signal import QSignal2D
 from .transform import TWO_SIDED, TransformConfig
 
@@ -87,16 +87,10 @@ def _payload_lines(lines, first: int = 1):
 
 
 def _split_floats(lineno: int, text: str, count: int, what: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != count:
-        raise QcsvError(lineno, f"{what}: expected {count} comma-separated values, got {len(parts)}")
-    out = []
-    for part in parts:
-        try:
-            out.append(float(part))
-        except ValueError:
-            raise QcsvError(lineno, f"{what}: {part!r} is not a number") from None
-    return out
+    try:
+        return _parse_floats(text, count, what)
+    except ParameterError as exc:
+        raise QcsvError(lineno, str(exc)) from None
 
 
 def _loadtxt_body(block: list[str], room: int) -> np.ndarray | None:

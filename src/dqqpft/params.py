@@ -21,7 +21,6 @@ __all__ = [
     "ParamSet",
     "Grid",
     "make_grid",
-    "preset",
     "preset_qft",
     "preset_qfrft",
     "preset_qlct",
@@ -121,25 +120,17 @@ def preset_qlct(abd1: tuple[float, float, float],
     return out[0], out[1]
 
 
-def preset(kind: str, *args) -> tuple[ParamSet, ParamSet]:
-    """Dispatch to one of the named presets: "qft", "qfrft", "qlct"."""
-    if kind == "qft":
-        return preset_qft()
-    if kind == "qfrft":
-        return preset_qfrft(*args)
-    if kind == "qlct":
-        return preset_qlct(*args)
-    raise ParameterError(f"unknown preset kind {kind!r}")
-
-
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != count:
         raise ParameterError(f"{what}: expected {count} comma-separated values, got {len(parts)}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ParameterError(f"{what}: {exc}") from None
+    out = []
+    for part in parts:
+        try:
+            out.append(float(part))
+        except ValueError:
+            raise ParameterError(f"{what}: {part!r} is not a number") from None
+    return out
 
 
 def parse_param_pair(text: str) -> tuple[ParamSet, ParamSet]:

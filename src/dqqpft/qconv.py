@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fast import forward_fast, make_plan
-from .quaternion import qmul, qnorm_sq
-from .signal import QSignal2D
+from .quaternion import qmul
+from .signal import QSignal2D, max_deviation, rel_deviation
 from .transform import TransformConfig, _check_dims, _freq_chirp, _pointwise_sandwich
 
 __all__ = ["ConvReport", "qp_convolve", "conv_theorem_rhs", "conv_theorem_check"]
@@ -174,7 +174,4 @@ def conv_theorem_check(f: QSignal2D, g: QSignal2D, cfg: TransformConfig, *,
         conv = qp_convolve(f, g, cfg)
     lhs = forward_fast(conv, make_plan(cfg))
     rhs = conv_theorem_rhs(f, g, cfg)
-    diff = float(np.sqrt(np.max(qnorm_sq(lhs.comps - rhs.comps))))
-    scale = float(np.sqrt(np.max(qnorm_sq(lhs.comps))))
-    rel = diff if scale == 0.0 else diff / scale
-    return ConvReport(lhs, rhs, diff, rel)
+    return ConvReport(lhs, rhs, max_deviation(lhs, rhs), rel_deviation(rhs, lhs))

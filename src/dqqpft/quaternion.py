@@ -5,11 +5,12 @@ multiplication table i**2 = j**2 = k**2 = ijk = -1 and ij = -ji = k
 (so jk = i and ki = j).
 
 The symplectic form writes q = t + j*h with t = w + x*i and
-h = y - z*i, both in the i-complex subfield; ``symplectic_split`` and
-``symplectic_join`` convert to and from that notation.  The vectorised
-code in this package uses the pair q = u + v*j instead, with u = w + x*i
-and v = y + z*i (so u = t and v = conj(h)): it is the (..., 4) component
-array itself read as (..., 2) complex numbers, which takes no copy.
+h = y - z*i, both in the i-complex subfield; the one conversion to and
+from that notation is ``QSignal2D.to_symplectic``/``from_symplectic``.
+The vectorised code in this package uses the pair q = u + v*j instead,
+with u = w + x*i and v = y + z*i (so u = t and v = conj(h)): it is the
+(..., 4) component array itself read as (..., 2) complex numbers, which
+takes no copy.
 """
 
 from __future__ import annotations
@@ -24,13 +25,6 @@ __all__ = [
     "I",
     "J",
     "K",
-    "mul",
-    "conjugate",
-    "norm",
-    "norm_sq",
-    "scalar_part",
-    "symplectic_split",
-    "symplectic_join",
     "embed_complex",
     "qmul",
     "qconj",
@@ -100,42 +94,6 @@ ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product p*q (non-commutative)."""
-    return p * q
-
-
-def conjugate(q: Quaternion) -> Quaternion:
-    return q.conjugate()
-
-
-def norm_sq(q: Quaternion) -> float:
-    return q.norm_sq()
-
-
-def norm(q: Quaternion) -> float:
-    return q.norm()
-
-
-def scalar_part(q: Quaternion) -> float:
-    """Real part [q]_0; satisfies the cyclic symmetry [pqr]_0 = [rpq]_0."""
-    return q.w
-
-
-def symplectic_split(q: Quaternion) -> tuple[complex, complex]:
-    """Split q = t + j*h into the i-complex pair (t, h).
-
-    t = w + x*i carries the (1, i) components, h = y - z*i the (j, k)
-    components; ``symplectic_join`` reassembles the quaternion.
-    """
-    return complex(q.w, q.x), complex(q.y, -q.z)
-
-
-def symplectic_join(t: complex, h: complex) -> Quaternion:
-    """Inverse of ``symplectic_split``: returns t + j*h."""
-    return Quaternion(t.real, t.imag, h.real, -h.imag)
 
 
 def embed_complex(c: complex) -> Quaternion:

@@ -4,9 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quaternion import Quaternion, qconj, qmul, qnorm_sq
+from .quaternion import Quaternion, qconj, qnorm_sq
 
-__all__ = ["QSignal2D", "lmul", "rmul", "max_deviation", "rel_deviation"]
+__all__ = ["QSignal2D", "max_deviation", "rel_deviation"]
+
+
+def _real_array(values) -> np.ndarray:
+    """``values`` as an array, refusing complex input before any float cast."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise ValueError("complex input would lose its imaginary part; "
+                         "use QSignal2D.from_symplectic for a complex pair")
+    return arr
 
 
 class QSignal2D:
@@ -20,7 +29,7 @@ class QSignal2D:
     __slots__ = ("_comps",)
 
     def __init__(self, comps):
-        comps = np.array(comps, dtype=np.float64, copy=True, order="C")
+        comps = np.array(_real_array(comps), dtype=np.float64, copy=True, order="C")
         if comps.ndim != 3 or comps.shape[2] != 4:
             raise ValueError(f"expected an (n1, n2, 4) component array, got shape {comps.shape}")
         if comps.shape[0] < 1 or comps.shape[1] < 1:
@@ -83,10 +92,11 @@ class QSignal2D:
 
     @classmethod
     def from_components(cls, w, x=None, y=None, z=None) -> "QSignal2D":
-        w = np.asarray(w, dtype=np.float64)
+        w = np.asarray(_real_array(w), dtype=np.float64)
         parts = [w]
         for p in (x, y, z):
-            parts.append(np.zeros_like(w) if p is None else np.asarray(p, dtype=np.float64))
+            parts.append(np.zeros_like(w) if p is None
+                         else np.asarray(_real_array(p), dtype=np.float64))
         return cls(np.stack(parts, axis=-1))
 
     @classmethod
@@ -134,16 +144,6 @@ class QSignal2D:
 
     def __repr__(self) -> str:
         return f"QSignal2D(n1={self.n1}, n2={self.n2})"
-
-
-def lmul(q: Quaternion, sig: QSignal2D) -> QSignal2D:
-    """Multiply every sample by the constant q on the left."""
-    return QSignal2D(qmul(q.to_array(), sig.comps))
-
-
-def rmul(sig: QSignal2D, q: Quaternion) -> QSignal2D:
-    """Multiply every sample by the constant q on the right."""
-    return QSignal2D(qmul(sig.comps, q.to_array()))
 
 
 def max_deviation(a: QSignal2D, b: QSignal2D) -> float:

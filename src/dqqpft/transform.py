@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Grid, ParameterError, ParamSet, make_grid
-from .quaternion import I, J, K
-from .signal import QSignal2D, lmul, rmul
+from .quaternion import I, J, K, qconj, qmul
+from .signal import QSignal2D, _real_array
 
 __all__ = [
     "TWO_SIDED",
@@ -142,17 +142,14 @@ def _contract(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sandwich(z1, b0, b2, comps, side):
-    """Kernel contraction of a component array for every kernel placement.
+    """Kernel contraction of a component array for one kernel placement.
 
     z1 is the i-complex axis-1 factor indexed (summed, out); (b0, b2) are
     the cos/sin parts of the j-complex axis-2 factor, same indexing.
-    ``side`` additionally selects the ordering used by the inverse, where
-    the j-factor precedes the i-factor inside one-sided products.
     Returns a new (n1, n2, 4) component array.
     """
     uv = comps.view(np.complex128)
     u, v = uv[..., 0], uv[..., 1]
-    zc = np.conj(z1)
     if side == TWO_SIDED:
         fu = _contract(z1, u, b0) - _contract(z1, v, b2)
         fv = _contract(z1, v, b0) + _contract(z1, u, b2)
@@ -160,14 +157,9 @@ def _sandwich(z1, b0, b2, comps, side):
         fu = _contract(z1, u, b0) - _contract(z1, np.conj(v), b2)
         fv = _contract(z1, v, b0) + _contract(z1, np.conj(u), b2)
     elif side == RIGHT_SIDED:
+        zc = np.conj(z1)
         fu = _contract(z1, u, b0) - _contract(zc, v, b2)
         fv = _contract(zc, v, b0) + _contract(z1, u, b2)
-    elif side == "left_jk":
-        fu = _contract(z1, u, b0) - _contract(zc, np.conj(v), b2)
-        fv = _contract(z1, v, b0) + _contract(zc, np.conj(u), b2)
-    elif side == "right_jk":
-        fu = _contract(z1, u, b0) - _contract(z1, v, b2)
-        fv = _contract(zc, v, b0) + _contract(zc, u, b2)
     else:  # pragma: no cover
         raise ValueError(side)
     return np.stack([fu, fv], axis=-1).view(np.float64)
@@ -193,15 +185,21 @@ def inverse_direct(F: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     normalisation, which makes ``inverse_direct(forward_direct(f)) == f``
     hold to rounding for every parameter choice and kernel placement.
     One-sided spectra are inverted by the conjugated kernel product in
-    reversed factor order (j-exponential first) on the same side.
+    reversed factor order (j-exponential first) on the same side.  Since
+    conj(p*q) = conj(q)*conj(p), that is the forward kernel of the other
+    side applied under conjugation:
+
+        e^{+j*b} * e^{+i*a} * F  =  conj(conj(F) * e^{-i*a} * e^{-j*b}),
+
+    so a left-sided inverse is conj(right-sided sandwich of conj(F)) with
+    the transposed forward kernels, and a right-sided one the mirror.
     """
     _check_dims(F, cfg)
     z1, b0, b2 = _kernel_factors(cfg)
-    a = np.conj(z1).T
-    c0 = b0.T
-    c2 = -b2.T
-    side = {TWO_SIDED: TWO_SIDED, LEFT_SIDED: "left_jk", RIGHT_SIDED: "right_jk"}[cfg.side]
-    return QSignal2D._adopt(_sandwich(a, c0, c2, F.comps, side))
+    if cfg.side == TWO_SIDED:
+        return QSignal2D._adopt(_sandwich(np.conj(z1).T, b0.T, -b2.T, F.comps, TWO_SIDED))
+    other_side = RIGHT_SIDED if cfg.side == LEFT_SIDED else LEFT_SIDED
+    return QSignal2D._adopt(qconj(_sandwich(z1.T, b0.T, b2.T, qconj(F.comps), other_side)))
 
 
 def _dqft2_signed(comps: np.ndarray, sign: int) -> np.ndarray:
@@ -270,9 +268,9 @@ def forward_via_dqft(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:
 def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
     """One-dimensional quadratic-phase transform with the kernel on the right.
 
-    Accepts a length-N complex (or real) vector, or an (N, 4) quaternion
-    component array; returns the matching representation.  The frequency
-    step is du = 2*pi*b/(N*dt).
+    Accepts a length-N complex (or real) vector, or a real (N, 4)
+    quaternion component array; returns the matching representation.  The
+    frequency step is du = 2*pi*b/(N*dt).
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ParameterError(f"dt must be a positive finite step, got {dt!r}")
@@ -289,7 +287,7 @@ def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
         return arr.astype(np.complex128) @ kern
     # q*z = u*z + (v*conj(z))*j for an i-complex z; BLAS products are not
     # conjugate-symmetric, so v's product is taken as conj(conj(v) @ kern)
-    u, v = np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128).T.copy()
+    u, v = np.ascontiguousarray(_real_array(arr), dtype=np.float64).view(np.complex128).T.copy()
     return np.stack([u @ kern, np.conj(np.conj(v) @ kern)], axis=-1).view(np.float64)
 
 
@@ -380,5 +378,6 @@ def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSi
     _check_dims(f, cfg)
     if cfg.side != TWO_SIDED:
         raise ParameterError("conjugate decomposition is stated for the two-sided transform")
-    q = [forward_direct(QSignal2D.from_real(f.comps[..., n]), cfg) for n in range(4)]
-    return q[0] - lmul(I, q[1]) - rmul(q[2], J) - lmul(I, rmul(q[3], K))
+    q = [forward_direct(QSignal2D.from_real(f.comps[..., n]), cfg).comps for n in range(4)]
+    i, j, k = (u.to_array() for u in (I, J, K))
+    return QSignal2D._adopt(q[0] - qmul(i, q[1]) - qmul(q[2], j) - qmul(i, qmul(q[3], k)))

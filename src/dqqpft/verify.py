@@ -19,7 +19,7 @@ import numpy as np
 from .fast import _fft2_raw, dqft2_via_fft, forward_fast, inverse_fast, make_plan
 from .params import ParamSet, preset_qfrft, preset_qft, preset_qlct
 from .qconv import conv_theorem_check, qp_convolve
-from .quaternion import J, Quaternion, embed_complex, qmul, scalar_part
+from .quaternion import J, Quaternion, embed_complex, qmul
 from .signal import QSignal2D, max_deviation, rel_deviation
 from .transform import (
     LEFT_SIDED,
@@ -103,6 +103,15 @@ def _scalar_sandwich(sig: QSignal2D, k1: np.ndarray, k2: np.ndarray) -> QSignal2
     return QSignal2D(out)
 
 
+def _oracle_kernel(alpha: float, gamma: float, n: int, dt: float, du: float) -> np.ndarray:
+    """Written-out kernel exp(i*(alpha*x^2*dt^2 - 2*pi*x*w/n + gamma*w^2*du^2))/sqrt(n)."""
+    xi = np.arange(n)[:, None].astype(float)
+    w = np.arange(n)[None, :].astype(float)
+    return np.exp(1j * (alpha * xi * xi * dt * dt
+                        - 2.0 * np.pi * xi * w / n
+                        + gamma * w * w * du * du)) / math.sqrt(n)
+
+
 def _quaternion_algebra(rng, results):
     dev_norm = 0.0
     dev_cyc = 0.0
@@ -112,9 +121,8 @@ def _quaternion_algebra(rng, results):
         prod = p * q
         dev_norm = max(dev_norm,
                        abs(prod.norm() - p.norm() * q.norm()) / max(prod.norm(), 1e-30))
-        s0 = scalar_part(p * q * r)
-        dev_cyc = max(dev_cyc, abs(s0 - scalar_part(r * p * q)),
-                      abs(s0 - scalar_part(q * r * p)))
+        s0 = (p * q * r).w
+        dev_cyc = max(dev_cyc, abs(s0 - (r * p * q).w), abs(s0 - (q * r * p).w))
         c = complex(*rng.uniform(-2, 2, size=2))
         lhs = embed_complex(c) * J
         rhs = J * embed_complex(c.conjugate())
@@ -222,11 +230,7 @@ def _special_cases(rng, results):
         for th, n, dt in ((th1, n1, dt1), (th2, n2, dt2)):
             half_cot = math.cos(th) / math.sin(th) / 2.0
             du = 2.0 * math.pi / math.sin(th) / (n * dt)
-            xi = np.arange(n)[:, None].astype(float)
-            w = np.arange(n)[None, :].astype(float)
-            ks.append(np.exp(1j * (half_cot * xi * xi * dt * dt
-                                   - 2.0 * np.pi * xi * w / n
-                                   + half_cot * w * w * du * du)) / math.sqrt(n))
+            ks.append(_oracle_kernel(half_cot, half_cot, n, dt, du))
         dev_frft = max(dev_frft, rel_deviation(forward_direct(f, cfg),
                                                _scalar_sandwich(f, ks[0], ks[1])))
     results.append(PropertyResult("qfrft-collapse-vs-oracle", dev_frft, 1e-12))
@@ -245,11 +249,7 @@ def _special_cases(rng, results):
         ks = []
         for (a, b, d), n, dt in ((abd1, n1, dt1), (abd2, n2, dt2)):
             du = 2.0 * math.pi * (1.0 / b) / (n * dt)
-            xi = np.arange(n)[:, None].astype(float)
-            w = np.arange(n)[None, :].astype(float)
-            ks.append(np.exp(1j * ((a / (2.0 * b)) * xi * xi * dt * dt
-                                   - 2.0 * np.pi * xi * w / n
-                                   + (d / (2.0 * b)) * w * w * du * du)) / math.sqrt(n))
+            ks.append(_oracle_kernel(a / (2.0 * b), d / (2.0 * b), n, dt, du))
         dev_lct = max(dev_lct, rel_deviation(forward_direct(f, cfg),
                                              _scalar_sandwich(f, ks[0], ks[1])))
     results.append(PropertyResult("qlct-collapse-vs-oracle", dev_lct, 1e-12))

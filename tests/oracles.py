@@ -54,6 +54,34 @@ def brute_forward(f: QSignal2D, cfg) -> QSignal2D:
     return QSignal2D(out)
 
 
+def brute_inverse(F: QSignal2D, cfg) -> QSignal2D:
+    """Four-nested-loop inverse: conjugated kernels, summed over frequency.
+
+    The two-sided inverse keeps the i-factor on the left and the j-factor
+    on the right; a one-sided inverse multiplies the conjugated kernel
+    product in reversed order, j-factor first, on the same side.
+    """
+    g = cfg.grid
+    scale = 1.0 / math.sqrt(g.n1 * g.n2)
+    out = np.empty((g.n1, g.n2, 4))
+    for x1 in range(g.n1):
+        for x2 in range(g.n2):
+            acc = Quaternion()
+            for w1 in range(g.n1):
+                lk = expi(axis_phase(cfg.p1, g.n1, g.dt1, g.du1, x1, w1))
+                for w2 in range(g.n2):
+                    rk = expj(axis_phase(cfg.p2, g.n2, g.dt2, g.du2, x2, w2))
+                    s = F.at(w1, w2)
+                    if cfg.side == "two_sided":
+                        acc = acc + lk * s * rk
+                    elif cfg.side == "left_sided":
+                        acc = acc + rk * lk * s
+                    else:
+                        acc = acc + s * rk * lk
+            out[x1, x2] = (acc * scale).to_array()
+    return QSignal2D(out)
+
+
 def scalar_two_sided(f: QSignal2D, k1: np.ndarray, k2: np.ndarray) -> QSignal2D:
     """Two-sided apply of explicit kernel matrices with scalar quaternions.
 

@@ -277,11 +277,31 @@ def test_bench_prints_speedup_table(capsys):
         assert size in out
 
 
+@pytest.mark.parametrize("repeats", ["0", "-3"])
+def test_bench_rejects_repeats_below_one(capsys, repeats):
+    assert main(["bench", "--repeats", repeats]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--repeats: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-7"]])
+def test_verify_rejects_negative_seed_as_usage_error(capsys, argv):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed: must be at least 0" in captured.err
+
+
 def test_measurement_helpers_stay_out_of_package_namespace():
     import dqqpft
     import dqqpft.bench
 
     for name in ("BenchRow", "format_table", "run_bench"):
+        assert not hasattr(dqqpft, name)
+    # aliases of an operator, a method or another public function
+    for name in ("lmul", "rmul", "mul", "conjugate", "norm", "norm_sq", "scalar_part",
+                 "symplectic_split", "symplectic_join", "preset"):
         assert not hasattr(dqqpft, name)
     rows = dqqpft.bench.run_bench(sizes=(4,), repeats=1)
     assert [row.size for row in rows] == [4]

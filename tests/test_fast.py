@@ -132,15 +132,6 @@ def test_dqft2_via_fft_matches_direct():
         assert rel_deviation(dqft2_via_fft(psi), dqft2(psi)) < 1e-10
 
 
-def test_dqft2_via_fft_inverse_direction():
-    rng = np.random.default_rng(6)
-    psi = rand_signal(rng, 6, 5)
-    back = dqft2_via_fft(dqft2_via_fft(psi), "inverse")
-    np.testing.assert_allclose(back.comps, psi.comps * 30, atol=1e-10)
-    with pytest.raises(ValueError):
-        dqft2_via_fft(psi, "sideways")
-
-
 # --- full fast pipeline ------------------------------------------------------
 
 def test_forward_fast_worked_example():

@@ -11,7 +11,6 @@ from dqqpft.params import (
     make_grid,
     parse_param_pair,
     parse_preset,
-    preset,
     preset_qfrft,
     preset_qft,
     preset_qlct,
@@ -71,7 +70,7 @@ def test_preset_qft():
     p1, p2 = preset_qft()
     assert p1 == ParamSet(0, 1, 0, 0, 0)
     assert p2 == ParamSet(0, 1, 0, 0, 0)
-    assert preset("qft") == (p1, p2)
+    assert parse_preset("qft") == (p1, p2)
 
 
 def test_preset_qfrft_right_angle_is_exactly_qft():
@@ -101,11 +100,6 @@ def test_preset_qlct():
     assert p2 == ParamSet(0.5, -2.0, 1.5, 0, 0)
     with pytest.raises(ParameterError):
         preset_qlct((1.0, 0.0, 3.0), (0.5, 1.0, 1.5))
-
-
-def test_preset_unknown_kind():
-    with pytest.raises(ParameterError):
-        preset("hartley")
 
 
 def test_param_pair_text_roundtrip():

@@ -29,7 +29,7 @@ from dqqpft.transform import (
     right_kernel,
     translation_rhs,
 )
-from oracles import brute_forward, expi, expj, rand_params, rand_signal
+from oracles import brute_forward, brute_inverse, expi, expj, rand_params, rand_signal
 
 EXAMPLE_IN = [[35.0, 30.0], [25.0, 20.0]]
 EXAMPLE_OUT = [[55.0, 5.0], [10.0, 0.0]]
@@ -154,6 +154,15 @@ def test_sided_forward_matches_brute_oracle(side):
         cfg = rand_cfg(rng, n1, n2, side)
         f = rand_signal(rng, n1, n2)
         assert max_deviation(forward_direct(f, cfg), brute_forward(f, cfg)) < 1e-12
+
+
+@pytest.mark.parametrize("side", [TWO_SIDED, LEFT_SIDED, RIGHT_SIDED])
+def test_sided_inverse_matches_brute_oracle(side):
+    rng = np.random.default_rng(15)
+    for n1, n2 in ((1, 1), (1, 4), (3, 1), (2, 3), (4, 5)):
+        cfg = rand_cfg(rng, n1, n2, side)
+        F = rand_signal(rng, n1, n2)
+        assert max_deviation(inverse_direct(F, cfg), brute_inverse(F, cfg)) < 1e-12
 
 
 @pytest.mark.parametrize("side", [TWO_SIDED, LEFT_SIDED, RIGHT_SIDED])
@@ -305,6 +314,15 @@ def test_dqpft_1d_quaternion_input():
     h = dqpft_1d(arr[:, 2] - 1j * arr[:, 3], p, 1.0)
     np.testing.assert_allclose(got[:, 0] + 1j * got[:, 1], t, atol=1e-14)
     np.testing.assert_allclose(got[:, 2] - 1j * got[:, 3], h, atol=1e-14)
+
+
+def test_dqpft_1d_refuses_complex_component_array():
+    p = ParamSet(0, 1, 0, 0, 0)
+    with pytest.raises(ValueError, match="from_symplectic"):
+        dqpft_1d(np.full((3, 4), 1 + 2j), p, 1.0)
+    # a complex vector is the i-complex form and stays valid
+    x = np.array([1 + 2j, 3 - 1j, 0.5j])
+    np.testing.assert_allclose(dqpft_1d(x, p, 1.0), np.fft.fft(x) / math.sqrt(3), atol=1e-14)
 
 
 def test_dqpft_1d_validation():

@@ -60,9 +60,7 @@ from .transform import (
     conjugate_transform_decomposition,
     dqft2,
     dqpft_1d,
-    energy,
     forward_direct,
-    forward_via_dqft,
     inverse_direct,
     left_kernel,
     make_config,

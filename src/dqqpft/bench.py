@@ -36,6 +36,8 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def run_bench(sizes=(16, 32, 64), repeats: int = 3, seed: int = 0) -> list[BenchRow]:
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     rng = np.random.default_rng(seed)
     p1 = ParamSet(0.3, 1.1, -0.4, 0.2, 0.7)
     p2 = ParamSet(-0.2, 0.9, 0.5, -0.1, 0.3)

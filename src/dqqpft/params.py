@@ -92,10 +92,13 @@ def preset_qft() -> tuple[ParamSet, ParamSet]:
 def preset_qfrft(theta1: float, theta2: float) -> tuple[ParamSet, ParamSet]:
     """Fractional-transform preset (-cot(t)/2, csc(t), -cot(t)/2, 0, 0).
 
-    Angles with sin(theta) == 0 have no csc and are rejected.
+    Non-finite angles and angles with sin(theta) == 0 have no csc and are
+    rejected.
     """
     out = []
     for theta in (theta1, theta2):
+        if not math.isfinite(theta):
+            raise ParameterError(f"fractional angle must be finite, got {theta!r}")
         s = math.sin(theta)
         if s == 0.0:
             raise ParameterError(f"degenerate angle {theta!r}: sin(theta) must be nonzero")
@@ -114,6 +117,8 @@ def preset_qlct(abd1: tuple[float, float, float],
     """Linear-canonical preset (-a/2b, 1/b, -d/2b, 0, 0) from (a, b, d) per axis."""
     out = []
     for a, b, d in (abd1, abd2):
+        if not all(math.isfinite(v) for v in (a, b, d)):
+            raise ParameterError(f"linear-canonical triple must be finite, got {(a, b, d)}")
         if b == 0.0:
             raise ParameterError("linear-canonical parameter b must be nonzero")
         out.append(ParamSet(-a / (2.0 * b), 1.0 / b, -d / (2.0 * b), 0.0, 0.0))

@@ -7,7 +7,11 @@ The two-sided transform of an n1 x n2 quaternion signal f is
 
 with per-axis phases
 
-    ph(x, w) = a*x^2*dt^2 + (2*pi/N)*x*w + c*w^2*du^2 + d*x*dt + e*w*du.
+    ph(x, w) = (a*x^2*dt^2 + d*x*dt) + (2*pi/N)*x*w + (c*w^2*du^2 + e*w*du).
+
+The bracketed time and frequency sides are written once, in
+``_time_phase`` and ``_freq_phase``; every kernel, chirp and identity
+phase correction here is built from those two.
 
 The i-exponential always sits on the left of the sample and the
 j-exponential on the right; the order is load-bearing because the
@@ -47,9 +51,7 @@ __all__ = [
     "forward_direct",
     "inverse_direct",
     "dqft2",
-    "forward_via_dqft",
     "dqpft_1d",
-    "energy",
     "modulated_signal",
     "circular_shift",
     "modulation_rhs",
@@ -89,15 +91,27 @@ def make_config(p1: ParamSet, p2: ParamSet, n1: int, n2: int,
     return TransformConfig(p1, p2, make_grid(n1, n2, dt1, dt2, p1, p2), side)
 
 
+def _axes(cfg: TransformConfig):
+    """Per-axis (params, size, time step, frequency step), axis 1 first."""
+    g = cfg.grid
+    return (cfg.p1, g.n1, g.dt1, g.du1), (cfg.p2, g.n2, g.dt2, g.du2)
+
+
+def _time_phase(p: ParamSet, xi, dt: float):
+    """Time side of the kernel phase, a*x^2*dt^2 + d*x*dt."""
+    return p.a * xi * xi * dt * dt + p.d * xi * dt
+
+
+def _freq_phase(p: ParamSet, w, du: float):
+    """Frequency side of the kernel phase, c*w^2*du^2 + e*w*du."""
+    return p.c * w * w * du * du + p.e * w * du
+
+
 def _axis_phase(p: ParamSet, n: int, dt: float, du: float,
                 xi, w) -> np.ndarray:
     xi = np.asarray(xi, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    return (p.a * xi * xi * dt * dt
-            + (2.0 * math.pi / n) * xi * w
-            + p.c * w * w * du * du
-            + p.d * xi * dt
-            + p.e * w * du)
+    return _time_phase(p, xi, dt) + (2.0 * math.pi / n) * xi * w + _freq_phase(p, w, du)
 
 
 def _kernel_matrix(p: ParamSet, n: int, dt: float, du: float) -> np.ndarray:
@@ -109,28 +123,25 @@ def _kernel_matrix(p: ParamSet, n: int, dt: float, du: float) -> np.ndarray:
 
 def _kernel_factors(cfg: TransformConfig):
     """Axis-1 complex kernel and the cos/sin parts of the axis-2 j-kernel."""
-    g = cfg.grid
-    z1 = _kernel_matrix(cfg.p1, g.n1, g.dt1, g.du1)
-    z2 = _kernel_matrix(cfg.p2, g.n2, g.dt2, g.du2)
+    z1, z2 = (_kernel_matrix(*axis) for axis in _axes(cfg))
     return z1, z2.real, z2.imag
+
+
+def _kernel_entry(cfg: TransformConfig, axis: int, xi: int, w: int) -> complex:
+    p, n, dt, du = _axes(cfg)[axis - 1]
+    if not (0 <= xi < n and 0 <= w < n):
+        raise IndexError(f"axis-{axis} indices out of range for N{axis}={n}: ({xi}, {w})")
+    return complex(np.exp(-1j * _axis_phase(p, n, dt, du, xi, w)) / math.sqrt(n))
 
 
 def left_kernel(cfg: TransformConfig, xi1: int, w1: int) -> complex:
     """Axis-1 kernel entry; an i-complex value of modulus 1/sqrt(N1)."""
-    n1 = cfg.grid.n1
-    if not (0 <= xi1 < n1 and 0 <= w1 < n1):
-        raise IndexError(f"axis-1 indices out of range for N1={n1}: ({xi1}, {w1})")
-    ph = _axis_phase(cfg.p1, n1, cfg.grid.dt1, cfg.grid.du1, xi1, w1)
-    return complex(np.exp(-1j * ph) / math.sqrt(n1))
+    return _kernel_entry(cfg, 1, xi1, w1)
 
 
 def right_kernel(cfg: TransformConfig, xi2: int, w2: int) -> complex:
     """Axis-2 kernel entry; imag carries the j coefficient (cos + j*sin form)."""
-    n2 = cfg.grid.n2
-    if not (0 <= xi2 < n2 and 0 <= w2 < n2):
-        raise IndexError(f"axis-2 indices out of range for N2={n2}: ({xi2}, {w2})")
-    ph = _axis_phase(cfg.p2, n2, cfg.grid.dt2, cfg.grid.du2, xi2, w2)
-    return complex(np.exp(-1j * ph) / math.sqrt(n2))
+    return _kernel_entry(cfg, 2, xi2, w2)
 
 
 def _contract(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,28 +213,19 @@ def inverse_direct(F: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     return QSignal2D._adopt(qconj(_sandwich(z1.T, b0.T, b2.T, qconj(F.comps), other_side)))
 
 
-def _dqft2_signed(comps: np.ndarray, sign: int) -> np.ndarray:
-    n1, n2 = comps.shape[:2]
-    w1 = np.arange(n1)
-    w2 = np.arange(n2)
-    z1 = np.exp(sign * 2j * math.pi * np.outer(w1, w1) / n1)
-    z2 = np.exp(sign * 2j * math.pi * np.outer(w2, w2) / n2)
-    return _sandwich(z1, z2.real, z2.imag, comps, TWO_SIDED)
-
-
 def dqft2(f: QSignal2D) -> QSignal2D:
     """Unnormalised two-sided quaternion DFT (plain 2*pi*x*w/N kernels)."""
-    return QSignal2D._adopt(_dqft2_signed(f.comps, -1))
+    z1, z2 = (np.exp(-2j * math.pi * np.outer(np.arange(n), np.arange(n)) / n)
+              for n in (f.n1, f.n2))
+    return QSignal2D._adopt(_sandwich(z1, z2.real, z2.imag, f.comps, TWO_SIDED))
 
 
 def _time_chirp(p: ParamSet, n: int, dt: float, sign: int) -> np.ndarray:
-    xi = np.arange(n)
-    return np.exp(sign * 1j * (p.a * xi * xi * dt * dt + p.d * xi * dt))
+    return np.exp(sign * 1j * _time_phase(p, np.arange(n), dt))
 
 
 def _freq_chirp(p: ParamSet, n: int, du: float, sign: int) -> np.ndarray:
-    w = np.arange(n)
-    return np.exp(sign * 1j * (p.c * w * w * du * du + p.e * w * du))
+    return np.exp(sign * 1j * _freq_phase(p, np.arange(n), du))
 
 
 def _pointwise_sandwich(comps, left, right):
@@ -241,28 +243,6 @@ def _pointwise_sandwich(comps, left, right):
         c, s = right.real, right.imag
         u, v = u * c - v * s, v * c + u * s
     return np.stack([u, v], axis=-1).view(np.float64)
-
-
-def forward_via_dqft(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:
-    """Chirp product, plain quaternion DFT, chirp product.
-
-    Splits the kernels into time chirps exp(-i(a*x^2*dt^2 + d*x*dt)),
-    the unnormalised two-sided DFT and frequency chirps
-    exp(-i(c*w^2*du^2 + e*w*du)); agrees with ``forward_direct`` to
-    rounding and is the stepping stone to the FFT fast path.
-    """
-    _check_dims(f, cfg)
-    if cfg.side != TWO_SIDED:
-        raise ParameterError("the chirp-DFT-chirp factorisation applies to the two-sided transform")
-    g = cfg.grid
-    comps = _pointwise_sandwich(f.comps,
-                                _time_chirp(cfg.p1, g.n1, g.dt1, -1),
-                                _time_chirp(cfg.p2, g.n2, g.dt2, -1))
-    comps = _pointwise_sandwich(_dqft2_signed(comps, -1),
-                                _freq_chirp(cfg.p1, g.n1, g.du1, -1),
-                                _freq_chirp(cfg.p2, g.n2, g.du2, -1))
-    comps *= 1.0 / math.sqrt(g.n1 * g.n2)
-    return QSignal2D._adopt(comps)
 
 
 def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
@@ -291,11 +271,6 @@ def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
     return np.stack([u @ kern, np.conj(np.conj(v) @ kern)], axis=-1).view(np.float64)
 
 
-def energy(f: QSignal2D) -> float:
-    """Total signal energy: the sum of squared quaternion sample norms."""
-    return f.energy()
-
-
 def modulated_signal(f: QSignal2D, eps1: int, eps2: int) -> QSignal2D:
     """exp(i*2*pi*eps1*x1/N1) * f * exp(j*2*pi*eps2*x2/N2)."""
     n1, n2 = f.n1, f.n2
@@ -309,6 +284,15 @@ def circular_shift(f: QSignal2D, k1: int, k2: int) -> QSignal2D:
     return QSignal2D(np.roll(f.comps, (k1, k2), axis=(0, 1)))
 
 
+def _check_identity(f: QSignal2D, cfg: TransformConfig, identity: str, shift=(0, 0)):
+    _check_dims(f, cfg)
+    if cfg.side != TWO_SIDED:
+        raise ParameterError(f"{identity} is stated for the two-sided transform")
+    (s1, s2), g = shift, cfg.grid
+    if not (0 <= s1 < g.n1 and 0 <= s2 < g.n2):
+        raise IndexError(f"shift ({s1}, {s2}) out of range for grid {(g.n1, g.n2)}")
+
+
 def modulation_rhs(f: QSignal2D, cfg: TransformConfig, eps1: int, eps2: int) -> QSignal2D:
     """Frequency-shifted spectrum with its quadratic phase correction.
 
@@ -319,23 +303,15 @@ def modulation_rhs(f: QSignal2D, cfg: TransformConfig, eps1: int, eps2: int) -> 
     shift; when nothing wraps, rho reduces to the familiar
     c*(eps^2 - 2*w*eps)*du^2 - e*eps*du.
     """
-    _check_dims(f, cfg)
-    if cfg.side != TWO_SIDED:
-        raise ParameterError("modulation identity is stated for the two-sided transform")
-    g = cfg.grid
-    if not (0 <= eps1 < g.n1 and 0 <= eps2 < g.n2):
-        raise IndexError(f"shift ({eps1}, {eps2}) out of range for grid {(g.n1, g.n2)}")
+    _check_identity(f, cfg, "modulation identity", (eps1, eps2))
     F = forward_direct(f, cfg)
-    w1 = np.arange(g.n1)
-    w2 = np.arange(g.n2)
-    m1 = (w1 - eps1) % g.n1
-    m2 = (w2 - eps2) % g.n2
-    rho1 = (cfg.p1.c * (m1.astype(float) ** 2 - w1.astype(float) ** 2) * g.du1 ** 2
-            + cfg.p1.e * (m1 - w1) * g.du1)
-    rho2 = (cfg.p2.c * (m2.astype(float) ** 2 - w2.astype(float) ** 2) * g.du2 ** 2
-            + cfg.p2.e * (m2 - w2) * g.du2)
-    shifted = F.comps[np.ix_(m1, m2)]
-    return QSignal2D._adopt(_pointwise_sandwich(shifted, np.exp(1j * rho1), np.exp(1j * rho2)))
+    rows, rho = [], []
+    for (p, n, _, du), eps in zip(_axes(cfg), (eps1, eps2)):
+        w = np.arange(n)
+        m = (w - eps) % n
+        rows.append(m)
+        rho.append(np.exp(1j * (_freq_phase(p, m, du) - _freq_phase(p, w, du))))
+    return QSignal2D._adopt(_pointwise_sandwich(F.comps[np.ix_(*rows)], *rho))
 
 
 def translation_rhs(f: QSignal2D, cfg: TransformConfig, k1: int, k2: int) -> QSignal2D:
@@ -343,28 +319,19 @@ def translation_rhs(f: QSignal2D, cfg: TransformConfig, k1: int, k2: int) -> QSi
 
     Transforms the inner chirped signal
     exp(-2i*a1*x1*k1*dt1^2) * f * exp(-2j*a2*x2*k2*dt2^2) and multiplies by
-    exp(-i(a1*k1^2*dt1^2 + 2*pi*k1*w1/N1 + d1*k1*dt1)) on the left and the
+    exp(-i(a1*k1^2*dt1^2 + d1*k1*dt1 + 2*pi*k1*w1/N1)) on the left and the
     j-analogue on the right.  It equals the spectrum of the shifted signal
     only where the shift does not wrap (or the time-side phase is
     N-periodic, e.g. a = d = 0); callers are expected to pick the regime.
     """
-    _check_dims(f, cfg)
-    if cfg.side != TWO_SIDED:
-        raise ParameterError("translation identity is stated for the two-sided transform")
-    g = cfg.grid
-    if not (0 <= k1 < g.n1 and 0 <= k2 < g.n2):
-        raise IndexError(f"shift ({k1}, {k2}) out of range for grid {(g.n1, g.n2)}")
-    xi1 = np.arange(g.n1)
-    xi2 = np.arange(g.n2)
-    inner = _pointwise_sandwich(f.comps,
-                                np.exp(-2j * cfg.p1.a * xi1 * k1 * g.dt1 ** 2),
-                                np.exp(-2j * cfg.p2.a * xi2 * k2 * g.dt2 ** 2))
-    T = forward_direct(QSignal2D._adopt(inner), cfg)
-    w1 = np.arange(g.n1)
-    w2 = np.arange(g.n2)
-    ph1 = cfg.p1.a * k1 * k1 * g.dt1 ** 2 + (2.0 * math.pi / g.n1) * k1 * w1 + cfg.p1.d * k1 * g.dt1
-    ph2 = cfg.p2.a * k2 * k2 * g.dt2 ** 2 + (2.0 * math.pi / g.n2) * k2 * w2 + cfg.p2.d * k2 * g.dt2
-    return QSignal2D._adopt(_pointwise_sandwich(T.comps, np.exp(-1j * ph1), np.exp(-1j * ph2)))
+    _check_identity(f, cfg, "translation identity", (k1, k2))
+    inner, outer = [], []
+    for (p, n, dt, _), k in zip(_axes(cfg), (k1, k2)):
+        x = np.arange(n)
+        inner.append(np.exp(-2j * p.a * x * k * dt ** 2))
+        outer.append(np.exp(-1j * (_time_phase(p, k, dt) + (2.0 * math.pi / n) * k * x)))
+    T = forward_direct(QSignal2D._adopt(_pointwise_sandwich(f.comps, *inner)), cfg)
+    return QSignal2D._adopt(_pointwise_sandwich(T.comps, *outer))
 
 
 def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:
@@ -375,9 +342,7 @@ def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSi
     conj(f) identically; the k-component term mixes both kernel axes and
     is known not to, so consumers compare rather than assume equality.
     """
-    _check_dims(f, cfg)
-    if cfg.side != TWO_SIDED:
-        raise ParameterError("conjugate decomposition is stated for the two-sided transform")
+    _check_identity(f, cfg, "conjugate decomposition")
     q = [forward_direct(QSignal2D.from_real(f.comps[..., n]), cfg).comps for n in range(4)]
     i, j, k = (u.to_array() for u in (I, J, K))
     return QSignal2D._adopt(q[0] - qmul(i, q[1]) - qmul(q[2], j) - qmul(i, qmul(q[3], k)))

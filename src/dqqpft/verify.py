@@ -28,9 +28,7 @@ from .transform import (
     conjugate_transform_decomposition,
     dqft2,
     dqpft_1d,
-    energy,
     forward_direct,
-    forward_via_dqft,
     inverse_direct,
     left_kernel,
     make_config,
@@ -178,7 +176,7 @@ def _core_corpus(rng, results):
         dev_fast = max(dev_fast, rel_deviation(forward_fast(f, plan), F))
         dev_round = max(dev_round, rel_deviation(inverse_direct(F, cfg), f))
         dev_round_fast = max(dev_round_fast, rel_deviation(inverse_fast(F, plan), f))
-        ef, es = energy(f), energy(F)
+        ef, es = f.energy(), F.energy()
         dev_energy = max(dev_energy, abs(es - ef) / ef)
         if i % 10 == 0:
             g2 = _rand_signal(rng, n1, n2)
@@ -195,16 +193,6 @@ def _core_corpus(rng, results):
         "plancherel-scaling", dev_energy, None,
         note=f"measured spectrum/time energy ratio 1 (worst drift {dev_energy:.3e}); "
              f"a 1/(N1*N2)-scaled reading is off by exactly that factor and is not reproduced"))
-
-
-def _via_dqft(rng, results):
-    dev = 0.0
-    for _ in range(40):
-        n1, n2 = (int(v) for v in rng.integers(2, 13, size=2))
-        cfg = _rand_cfg(rng, n1, n2)
-        f = _rand_signal(rng, n1, n2)
-        dev = max(dev, rel_deviation(forward_via_dqft(f, cfg), forward_direct(f, cfg)))
-    results.append(PropertyResult("chirp-dqft-chirp-vs-direct", dev, 1e-12))
 
 
 def _special_cases(rng, results):
@@ -462,7 +450,6 @@ def run_verify(seed: int = 42) -> list[PropertyResult]:
     _fft_properties(rng, results)
     _kernel_modulus(rng, results)
     _core_corpus(rng, results)
-    _via_dqft(rng, results)
     _special_cases(rng, results)
     _dqpft_1d_oracle(rng, results)
     _theorem_checks(rng, results)

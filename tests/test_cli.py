@@ -285,6 +285,23 @@ def test_bench_rejects_repeats_below_one(capsys, repeats):
     assert "--repeats: must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("repeats", [0, -3])
+def test_run_bench_rejects_repeats_below_one(repeats):
+    import dqqpft.bench
+
+    with pytest.raises(ValueError, match="repeats must be at least 1"):
+        dqqpft.bench.run_bench(sizes=(4,), repeats=repeats)
+
+
+@pytest.mark.parametrize("preset", ["qfrft:inf,1", "qlct:1,inf,3:0.5,1,1.5"])
+def test_non_finite_preset_is_usage_error_naming_it(example_qcsv, tmp_path, capsys, preset):
+    assert main(["forward", "--preset", preset, "--in", str(example_qcsv),
+                 "--out", str(tmp_path / "o.qcsv")]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite, got" in err and "inf" in err
+    assert "math domain error" not in err
+
+
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-7"]])
 def test_verify_rejects_negative_seed_as_usage_error(capsys, argv):
     assert main(["verify", *argv]) == 2
@@ -301,8 +318,10 @@ def test_measurement_helpers_stay_out_of_package_namespace():
         assert not hasattr(dqqpft, name)
     # aliases of an operator, a method or another public function
     for name in ("lmul", "rmul", "mul", "conjugate", "norm", "norm_sq", "scalar_part",
-                 "symplectic_split", "symplectic_join", "preset"):
+                 "symplectic_split", "symplectic_join", "preset", "energy"):
         assert not hasattr(dqqpft, name)
+    # the chirp-DFT-chirp factorisation has one implementation, the fast path
+    assert not hasattr(dqqpft, "forward_via_dqft")
     rows = dqqpft.bench.run_bench(sizes=(4,), repeats=1)
     assert [row.size for row in rows] == [4]
     assert "4x4" in dqqpft.bench.format_table(rows)

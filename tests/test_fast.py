@@ -19,7 +19,6 @@ from dqqpft.signal import QSignal2D, max_deviation, rel_deviation
 from dqqpft.transform import (
     LEFT_SIDED,
     dqft2,
-    energy,
     forward_direct,
     inverse_direct,
     make_config,
@@ -87,7 +86,7 @@ def test_make_psi_preserves_energy():
         n1, n2 = (int(v) for v in rng.integers(2, 9, size=2))
         f = rand_signal(rng, n1, n2)
         psi = make_psi(f, make_plan(rand_cfg(rng, n1, n2)))
-        assert energy(psi) == pytest.approx(energy(f), rel=1e-12)
+        assert psi.energy() == pytest.approx(f.energy(), rel=1e-12)
 
 
 # --- plane FFT ---------------------------------------------------------------
@@ -178,7 +177,7 @@ def test_fast_roundtrip():
         f = rand_signal(rng, n1, n2)
         F = forward_fast(f, plan)
         assert rel_deviation(inverse_fast(F, plan), f) < 1e-10
-        assert abs(energy(F) - energy(f)) < 1e-10 * energy(f)
+        assert abs(F.energy() - f.energy()) < 1e-10 * f.energy()
 
 
 def _fast_vs_direct_devs(f, cfg):
@@ -188,7 +187,7 @@ def _fast_vs_direct_devs(f, cfg):
     return (rel_deviation(F, forward_direct(f, cfg)),
             rel_deviation(inverse_fast(f, plan), inverse_direct(f, cfg)),
             rel_deviation(inverse_fast(F, plan), f),
-            abs(energy(F) - energy(f)) / energy(f))
+            abs(F.energy() - f.energy()) / f.energy())
 
 
 @settings(max_examples=30, deadline=None)

@@ -102,6 +102,17 @@ def test_preset_qlct():
         preset_qlct((1.0, 0.0, 3.0), (0.5, 1.0, 1.5))
 
 
+@pytest.mark.parametrize("build, value", [
+    (lambda: preset_qfrft(math.inf, 1.0), "inf"),
+    (lambda: preset_qfrft(1.0, math.nan), "nan"),
+    (lambda: preset_qlct((1.0, math.inf, 3.0), (0.5, 1.0, 1.5)), "inf"),
+    (lambda: preset_qlct((1.0, 2.0, 3.0), (-math.inf, 1.0, 1.5)), "-inf"),
+], ids=["qfrft-inf", "qfrft-nan", "qlct-b-inf", "qlct-a-minus-inf"])
+def test_presets_name_a_non_finite_value(build, value):
+    with pytest.raises(ParameterError, match=f"must be finite, got .*{value}"):
+        build()
+
+
 def test_param_pair_text_roundtrip():
     rng = np.random.default_rng(9)
     for _ in range(20):

@@ -13,14 +13,13 @@ from dqqpft.transform import (
     RIGHT_SIDED,
     TWO_SIDED,
     TransformConfig,
+    _kernel_factors,
     _pointwise_sandwich,
     circular_shift,
     conjugate_transform_decomposition,
     dqft2,
     dqpft_1d,
-    energy,
     forward_direct,
-    forward_via_dqft,
     inverse_direct,
     left_kernel,
     make_config,
@@ -94,6 +93,19 @@ def test_kernel_modulus_randomised():
         assert abs(k) * math.sqrt(n1) == pytest.approx(1.0, abs=1e-12)
         k = right_kernel(cfg, int(rng.integers(0, n2)), int(rng.integers(0, n2)))
         assert abs(k) * math.sqrt(n2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kernel_entries_are_the_direct_path_matrices():
+    # the public entries and forward_direct read one kernel
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        n1, n2 = (int(v) for v in rng.integers(1, 13, size=2))
+        cfg = rand_cfg(rng, n1, n2)
+        z1, b0, b2 = _kernel_factors(cfg)
+        left = np.array([[left_kernel(cfg, x, w) for w in range(n1)] for x in range(n1)])
+        right = np.array([[right_kernel(cfg, x, w) for w in range(n2)] for x in range(n2)])
+        np.testing.assert_allclose(left, z1, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(right, b0 + 1j * b2, rtol=0, atol=1e-15)
 
 
 def test_kernel_index_range():
@@ -210,38 +222,6 @@ def test_forward_equals_scaled_dqft2_under_qft():
         assert rel_deviation(got, want) < 1e-12
 
 
-def test_forward_via_dqft_reduces_to_dqft_under_qft():
-    rng = np.random.default_rng(8)
-    f = rand_signal(rng, 4, 4)
-    got = forward_via_dqft(f, qft_cfg(4, 4))
-    want = dqft2(f) * 0.25
-    assert rel_deviation(got, want) < 1e-13
-
-
-def test_forward_via_dqft_worked_example():
-    F = forward_via_dqft(QSignal2D.from_real(EXAMPLE_IN), qft_cfg(2, 2))
-    np.testing.assert_allclose(F.w, EXAMPLE_OUT, atol=1e-12)
-
-
-def test_forward_via_dqft_matches_direct():
-    rng = np.random.default_rng(9)
-    for _ in range(6):
-        n1, n2 = (int(v) for v in rng.integers(2, 7, size=2))
-        cfg = rand_cfg(rng, n1, n2)
-        f = rand_signal(rng, n1, n2)
-        assert rel_deviation(forward_via_dqft(f, cfg), forward_direct(f, cfg)) < 1e-12
-    big = rand_signal(rng, 4, 6)
-    cfg = rand_cfg(rng, 4, 6)
-    assert rel_deviation(forward_via_dqft(big, cfg), forward_direct(big, cfg)) < 1e-12
-
-
-def test_forward_via_dqft_two_sided_only():
-    rng = np.random.default_rng(10)
-    cfg = rand_cfg(rng, 2, 2, LEFT_SIDED)
-    with pytest.raises(ParameterError):
-        forward_via_dqft(rand_signal(rng, 2, 2), cfg)
-
-
 # --- inverse --------------------------------------------------------------
 
 def test_inverse_of_worked_example():
@@ -339,9 +319,9 @@ def test_dqpft_1d_validation():
 # --- energy ---------------------------------------------------------------
 
 def test_energy_worked_example_both_domains():
-    assert energy(QSignal2D.from_real(EXAMPLE_IN)) == 3150.0
-    assert energy(QSignal2D.from_real(EXAMPLE_OUT)) == 3150.0
-    assert energy(QSignal2D.zeros(3, 3)) == 0.0
+    assert QSignal2D.from_real(EXAMPLE_IN).energy() == 3150.0
+    assert QSignal2D.from_real(EXAMPLE_OUT).energy() == 3150.0
+    assert QSignal2D.zeros(3, 3).energy() == 0.0
 
 
 def test_energy_preserved_by_forward():
@@ -350,7 +330,7 @@ def test_energy_preserved_by_forward():
         n1, n2 = (int(v) for v in rng.integers(2, 9, size=2))
         cfg = rand_cfg(rng, n1, n2)
         f = rand_signal(rng, n1, n2)
-        assert energy(forward_direct(f, cfg)) == pytest.approx(energy(f), rel=1e-10)
+        assert forward_direct(f, cfg).energy() == pytest.approx(f.energy(), rel=1e-10)
 
 
 # --- modulation -----------------------------------------------------------
@@ -518,7 +498,6 @@ def test_array_code_never_builds_the_symplectic_pair(monkeypatch):
     cfg = rand_cfg(rng, 4, 5)
     dqft2(f)
     dqpft_1d(f.comps[0], cfg.p1)
-    forward_via_dqft(f, cfg)
     modulated_signal(f, 1, 2)
     modulation_rhs(f, cfg, 1, 2)
     translation_rhs(f, cfg, 1, 2)

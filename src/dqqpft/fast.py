@@ -14,13 +14,22 @@ A two-sided factor acts on each plane as one complex exponential,
     exp(i*a) * q * exp(j*b)   maps   p+ -> exp(i*(a - b)) * p+,
                                      p- -> exp(i*(a + b)) * p-,
 
-so chirps become outer products of the axis vectors (the axis-2 vector
-conjugated on p+) and the DFT kernel exp(-i*th1) * q * exp(-j*th2)
+so each chirp multiplies a plane by its axis-1 vector down the rows and
+its axis-2 vector (conjugated on p+) along the columns, broadcast, never
+formed as an N1 x N2 grid.  The DFT kernel exp(-i*th1) * q * exp(-j*th2)
 becomes exp(-i*(th1 + th2)) on p-, a plain ``fft2``, and
 exp(-i*(th1 - th2)) on p+: axis 0 keeps the sign and axis 1, the
 j-axis, takes the flipped one.  The sample is rebuilt as
-u = (p+ + p-)/2 and v = i*(p+ - p-)/2, written straight into the output
-through the same complex view; the 1/2 rides on the last chirp.
+u = (p+ + p-)/2 and v = i*(p+ - p-)/2; the 1/2 rides on the last chirp.
+
+Each transform runs inside its output buffer.  p+ and p- are written
+straight into the two complex halves out[..., 0] and out[..., 1] of the
+output's complex view, chirped and transformed there in place, and
+joined there: p+ += p- makes u, and p+ - p- is taken as
+(p+ + p-) - 2*p-, which needs no temporary plane.  2*p- is the plane
+without its 1/2, a unit chirp times the FFT output times a scale of at
+most 1, so the join stays finite wherever a separate p+ - p- would.
+Beside the output only O(N1 + N2) vectors are allocated.
 
 ``_fft2_raw`` here is the library's one FFT entry point.  It takes one
 exponent sign per axis and runs each axis on ``numpy.fft`` (pocketfft),
@@ -61,10 +70,10 @@ class FastPlan:
 
     ``pre1``/``post1`` are i-complex axis-1 vectors; ``pre2``/``post2``
     hold the exp(i*theta) bookkeeping of the j-complex axis-2 chirps.
-    All entries have unit modulus.  Each transform forms the per-plane
-    N1 x N2 chirps as outer products of these vectors on the fly, so the
-    plan stays O(N1 + N2).  The FFTs need no tables: ``numpy.fft`` plans
-    every axis length internally.
+    All entries have unit modulus.  Each transform multiplies them into
+    a plane by broadcasting, one axis at a time, so no N1 x N2 chirp is
+    ever formed and the plan stays O(N1 + N2).  The FFTs need no tables:
+    ``numpy.fft`` plans every axis length internally.
     """
 
     cfg: TransformConfig
@@ -93,48 +102,57 @@ def make_psi(f: QSignal2D, plan: FastPlan) -> QSignal2D:
     return QSignal2D._adopt(_pointwise_sandwich(f.comps, plan.pre1, plan.pre2))
 
 
-def _fft_axis(x: np.ndarray, sign: int, axis: int) -> np.ndarray:
+def _fft_axis(x: np.ndarray, sign: int, axis: int, out: np.ndarray | None) -> np.ndarray:
     if sign < 0:
-        return np.fft.fft(x, axis=axis)
-    return np.fft.ifft(x, axis=axis, norm="forward")
+        return np.fft.fft(x, axis=axis, out=out)
+    return np.fft.ifft(x, axis=axis, norm="forward", out=out)
 
 
-def _fft2_raw(x: np.ndarray, sign1: int, sign2: int) -> np.ndarray:
+def _fft2_raw(x: np.ndarray, sign1: int, sign2: int,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised 2D transform with one exponent sign per axis.
 
         X[w1, w2] = sum_x x[x1, x2] * exp(2j*pi*(sign1*x1*w1/N1 + sign2*x2*w2/N2))
 
     Axis 1 is transformed first, then axis 0, which is the order
     ``numpy.fft.fft2`` uses; equal signs give its result bit for bit.
+    ``out``, a complex128 array of ``x``'s shape (a strided view will
+    do, and ``x`` itself makes the transform in place), receives both
+    axes' results through numpy's own ``out=`` and is returned; without
+    it ``x`` is left untouched and the result is a new array.
     """
-    return _fft_axis(_fft_axis(x, sign2, 1), sign1, 0)
+    return _fft_axis(_fft_axis(x, sign2, 1, out), sign1, 0, out)
 
 
 def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> QSignal2D:
     """Chirp ``pre``, plain two-sided DFT of exponent ``sign``, chirp ``post``, scale.
 
     ``pre`` and ``post`` are (axis-1 vector, axis-2 bookkeeping vector)
-    pairs.  Each plane takes one chirp, one ``_fft2_raw`` call and one
-    chirp that carries ``scale`` and the 1/2 of the reassembly.
+    pairs.  Each plane lives in its half of the output, where it takes
+    one broadcast chirp, one in-place ``_fft2_raw`` call and one
+    broadcast chirp that carries ``scale`` and the 1/2 of the join.
     """
     (left0, right0), (left1, right1) = pre, post
-    left1 = left1 * (0.5 * scale)
+    left0, left1 = left0[:, None], left1[:, None] * (0.5 * scale)
     uv = comps.view(np.complex128)
     u = uv[..., 0]
-    # i*v becomes p- in place, so no third plane stays alive
-    minus = 1j * uv[..., 1]
-    plus = u - minus
-    minus += u
-    plus *= np.outer(left0, np.conj(right0))
-    plus = _fft2_raw(plus, sign, -sign)
-    plus *= np.outer(left1, np.conj(right1))
-    minus *= np.outer(left0, right0)
-    minus = _fft2_raw(minus, sign, sign)
-    minus *= np.outer(left1, right1)
     out = np.empty(uv.shape, dtype=np.complex128)
-    np.add(plus, minus, out=out[..., 0])
-    np.subtract(plus, minus, out=out[..., 1])
-    out[..., 1] *= 1j
+    plus, minus = out[..., 0], out[..., 1]
+    np.multiply(uv[..., 1], 1j, out=minus)
+    np.subtract(u, minus, out=plus)
+    minus += u
+    for plane, flip, r0, r1 in ((plus, -1, np.conj(right0), np.conj(right1)),
+                                (minus, 1, right0, right1)):
+        plane *= left0
+        plane *= r0
+        _fft2_raw(plane, sign, flip * sign, out=plane)
+        plane *= left1
+        plane *= r1
+    # (u, v) = (p+ + p-, i*(p+ - p-)), with p+ - p- taken as (p+ + p-) - 2*p-
+    plus += minus
+    minus *= -2
+    minus += plus
+    minus *= 1j
     return QSignal2D._adopt(out.view(np.float64))
 
 

@@ -109,6 +109,27 @@ def test_raw_transform_with_equal_signs_is_numpy_fft2():
         np.testing.assert_array_equal(_fft2_raw(x, 1, 1), np.fft.ifft2(x, norm="forward"))
 
 
+@pytest.mark.parametrize("sign1,sign2", [(-1, -1), (-1, 1), (1, -1), (1, 1)])
+def test_raw_transform_into_a_plane_view_is_the_out_of_place_result(sign1, sign2):
+    # the fast path hands each plane's half of its output buffer as ``out``
+    rng = np.random.default_rng(5)
+    for n1, n2 in [(1, 1), (1, 7), (7, 1), (13, 17), (257, 257)]:
+        x = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
+        kept = x.copy()
+        want = _fft2_raw(x, sign1, sign2)
+        np.testing.assert_array_equal(x, kept)  # without ``out`` the input is untouched
+        for half in (0, 1):
+            buf = np.zeros((n1, n2, 2), dtype=np.complex128)
+            got = _fft2_raw(x, sign1, sign2, out=buf[..., half])
+            assert np.shares_memory(got, buf)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(buf[..., 1 - half], 0)
+            plane = buf[..., half]
+            plane[...] = x
+            np.testing.assert_array_equal(_fft2_raw(plane, sign1, sign2, out=plane), want)
+        np.testing.assert_array_equal(x, kept)
+
+
 # --- quaternion DFT via two complex FFTs ------------------------------------
 
 def test_dqft2_via_fft_delta():
@@ -208,18 +229,22 @@ def test_fast_matches_direct_at_prime_and_skinny_shapes(n1, n2):
 def test_each_transform_makes_two_fft_calls(monkeypatch, transform):
     # one plain complex DFT per plane; perfbench traces this very name
     calls = []
+    results = []
     raw = dqqpft.fast._fft2_raw
 
-    def counting(x, sign1, sign2):
+    def counting(x, sign1, sign2, out=None):
         calls.append((x.shape, sign1, sign2))
-        return raw(x, sign1, sign2)
+        results.append(raw(x, sign1, sign2, out=out))
+        return results[-1]
 
     monkeypatch.setattr(dqqpft.fast, "_fft2_raw", counting)
     rng = np.random.default_rng(13)
-    transform(rand_signal(rng, 6, 5), make_plan(rand_cfg(rng, 6, 5)))
+    got = transform(rand_signal(rng, 6, 5), make_plan(rand_cfg(rng, 6, 5)))
     # p+ first, with the j-axis sign flipped, then p-
     signs = [(-1, 1), (-1, -1)] if transform is forward_fast else [(1, -1), (1, 1)]
     assert calls == [((6, 5),) + pair for pair in signs]
+    # each plane is transformed inside the transform's own output
+    assert all(np.shares_memory(r, got.comps) for r in results)
 
 
 # --- output adopted without a copy ------------------------------------------
@@ -245,6 +270,16 @@ def test_transform_keeps_two_planes_and_the_output_alive(transform):
     f = rand_signal(rng, 256, 512)
     plan = make_plan(rand_cfg(rng, 256, 512))
     assert traced_peak(transform, f, plan) <= 2.4 * f.comps.nbytes
+
+
+@pytest.mark.parametrize("transform", [forward_fast, inverse_fast])
+def test_transform_works_inside_its_output_buffer(transform):
+    # the output plus its finiteness mask (1/8 of it); no plane, chirp
+    # grid or FFT result is allocated beside it
+    rng = np.random.default_rng(18)
+    f = rand_signal(rng, 256, 512)
+    plan = make_plan(rand_cfg(rng, 256, 512))
+    assert traced_peak(transform, f, plan) <= 1.25 * f.comps.nbytes
 
 
 @pytest.mark.parametrize("transform", [forward_fast, inverse_fast])

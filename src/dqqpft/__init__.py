@@ -9,14 +9,7 @@ FFT entry point, on ``numpy.fft``), the matching quadratic-phase
 convolution, qcsv/PPM I/O and a seeded verification harness.
 """
 
-from .fast import (
-    FastPlan,
-    dqft2_via_fft,
-    forward_fast,
-    inverse_fast,
-    make_plan,
-    make_psi,
-)
+from .fast import FastPlan, forward_fast, inverse_fast, make_plan
 from .io import (
     MAPPINGS,
     PpmError,
@@ -31,7 +24,6 @@ from .params import (
     ParameterError,
     ParamSet,
     format_param_pair,
-    make_grid,
     parse_param_pair,
     parse_preset,
     preset_qfrft,

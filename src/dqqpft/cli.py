@@ -16,7 +16,7 @@ from .fast import forward_fast, inverse_fast, make_plan
 from .params import ParameterError, _parse_floats, parse_param_pair, parse_preset
 from .qconv import conv_theorem_check, qp_convolve
 from .signal import QSignal2D
-from .transform import TWO_SIDED, TransformConfig, forward_direct, inverse_direct, make_config
+from .transform import TWO_SIDED, TransformConfig, make_config
 
 __all__ = ["main", "run"]
 
@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_transform_flags(p):
         add_param_flags(p)
-        p.add_argument("--method", choices=("direct", "fast"), default="fast")
         p.add_argument("--mapping", choices=qio.MAPPINGS, default="pure",
                        help="pixel mapping used for ppm input/output")
         p.add_argument("--in", dest="infile", required=True, metavar="PATH")
@@ -138,10 +137,7 @@ def _cmd_forward(args) -> int:
         raise UsageError("spectra are not range-limited; forward output must be qcsv")
     sig, header_cfg = _load_signal(args.infile, args.mapping)
     cfg = _resolve_config(args, header_cfg, sig.n1, sig.n2)
-    if args.method == "fast":
-        out = forward_fast(sig, make_plan(cfg))
-    else:
-        out = forward_direct(sig, cfg)
+    out = forward_fast(sig, make_plan(cfg))
     qio.write_qcsv(args.outfile, out, cfg)
     return 0
 
@@ -151,10 +147,7 @@ def _cmd_inverse(args) -> int:
         raise UsageError("inverse input must be a qcsv spectrum")
     sig, header_cfg = _load_signal(args.infile, args.mapping)
     cfg = _resolve_config(args, header_cfg, sig.n1, sig.n2)
-    if args.method == "fast":
-        out = inverse_fast(sig, make_plan(cfg))
-    else:
-        out = inverse_direct(sig, cfg)
+    out = inverse_fast(sig, make_plan(cfg))
     _save_signal(args.outfile, out, cfg, args.mapping)
     return 0
 

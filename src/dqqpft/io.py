@@ -35,9 +35,9 @@ from itertools import islice
 
 import numpy as np
 
-from .params import ParameterError, _parse_floats, format_param_pair, make_grid, parse_param_pair
+from .params import ParameterError, _parse_floats, format_param_pair, parse_param_pair
 from .signal import QSignal2D
-from .transform import TWO_SIDED, TransformConfig
+from .transform import TransformConfig, make_config
 
 __all__ = [
     "QcsvError",
@@ -192,10 +192,9 @@ def read_qcsv(path) -> tuple[QSignal2D, TransformConfig]:
         comps = _read_body(fh, lineno, n1 * n2)
 
     try:
-        grid = make_grid(n1, n2, dt1, dt2, p1, p2)
+        cfg = make_config(p1, p2, n1, n2, dt1, dt2)
     except ParameterError as exc:
         raise QcsvError(None, str(exc)) from None
-    cfg = TransformConfig(p1, p2, grid, TWO_SIDED)
     return QSignal2D._adopt(comps.reshape(n1, n2, 4)), cfg
 
 

@@ -6,8 +6,9 @@ b != 0; the discrete kernel phase on that axis is
     a*xi^2*dt^2 + (2*pi/N)*xi*omega + c*omega^2*du^2 + d*xi*dt + e*omega*du
 
 where the frequency step is always derived as du = 2*pi*b / (N*dt).
-The quintuple therefore stores b and never accepts du directly, which
-keeps the sampling relation an enforced invariant.
+A ``Grid`` holds only the sizes and time steps a caller chooses and
+validates them when built; du is written once, in ``_freq_step``, and
+read as ``TransformConfig.du1``/``du2``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "ParameterError",
     "ParamSet",
     "Grid",
-    "make_grid",
     "preset_qft",
     "preset_qfrft",
     "preset_qlct",
@@ -57,30 +57,29 @@ class ParamSet:
 
 @dataclass(frozen=True)
 class Grid:
-    """Axis sizes and sampling steps; du is derived, never chosen."""
+    """Axis sizes and time steps; the frequency steps are derived from them."""
 
     n1: int
     n2: int
     dt1: float
     dt2: float
-    du1: float
-    du2: float
+
+    def __post_init__(self):
+        for name in ("n1", "n2"):
+            n = getattr(self, name)
+            if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+                raise ParameterError(f"{name} must be a positive integer, got {n!r}")
+            object.__setattr__(self, name, int(n))
+        for name in ("dt1", "dt2"):
+            dt = getattr(self, name)
+            if not (math.isfinite(dt) and dt > 0.0):
+                raise ParameterError(f"{name} must be a positive finite step, got {dt!r}")
+            object.__setattr__(self, name, float(dt))
 
 
-def make_grid(n1: int, n2: int, dt1: float, dt2: float,
-              p1: ParamSet, p2: ParamSet) -> Grid:
-    """Build a grid with du_s = 2*pi*b_s / (n_s * dt_s) on each axis."""
-    for name, n in (("n1", n1), ("n2", n2)):
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-            raise ParameterError(f"{name} must be a positive integer, got {n!r}")
-    for name, dt in (("dt1", dt1), ("dt2", dt2)):
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ParameterError(f"{name} must be a positive finite step, got {dt!r}")
-    n1, n2 = int(n1), int(n2)
-    dt1, dt2 = float(dt1), float(dt2)
-    du1 = 2.0 * math.pi * p1.b / (n1 * dt1)
-    du2 = 2.0 * math.pi * p2.b / (n2 * dt2)
-    return Grid(n1, n2, dt1, dt2, du1, du2)
+def _freq_step(p: ParamSet, n: int, dt: float) -> float:
+    """The sampling relation du = 2*pi*b / (n*dt)."""
+    return 2.0 * math.pi * p.b / (n * dt)
 
 
 def preset_qft() -> tuple[ParamSet, ParamSet]:

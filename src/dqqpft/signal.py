@@ -49,7 +49,12 @@ class QSignal2D:
         return sig
 
     def _freeze(self, comps: np.ndarray) -> None:
-        if not np.all(np.isfinite(comps)):
+        # a finite sum proves every sample finite without an elementwise
+        # mask; only a sum that overflowed or met a non-finite sample pays
+        # for the full scan
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = comps.sum()
+        if not np.isfinite(total) and not np.all(np.isfinite(comps)):
             raise ValueError("signal contains non-finite samples")
         comps.flags.writeable = False
         self._comps = comps

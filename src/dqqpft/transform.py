@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import Grid, ParameterError, ParamSet, make_grid
+from .params import Grid, ParameterError, ParamSet, _freq_step
 from .quaternion import I, J, K, qconj, qmul
 from .signal import QSignal2D, _real_array
 
@@ -67,7 +67,10 @@ _SIDES = (TWO_SIDED, LEFT_SIDED, RIGHT_SIDED)
 
 @dataclass(frozen=True)
 class TransformConfig:
-    """Parameter pair, grid and kernel placement for one transform."""
+    """Parameter pair, grid and kernel placement for one transform.
+
+    ``du1``/``du2`` are the frequency steps derived from b, N and dt.
+    """
 
     p1: ParamSet
     p2: ParamSet
@@ -77,24 +80,27 @@ class TransformConfig:
     def __post_init__(self):
         if self.side not in _SIDES:
             raise ParameterError(f"side must be one of {_SIDES}, got {self.side!r}")
-        g = self.grid
-        if g.du1 != 2.0 * math.pi * self.p1.b / (g.n1 * g.dt1):
-            raise ParameterError("grid du1 is inconsistent with the axis-1 parameter b")
-        if g.du2 != 2.0 * math.pi * self.p2.b / (g.n2 * g.dt2):
-            raise ParameterError("grid du2 is inconsistent with the axis-2 parameter b")
+
+    @property
+    def du1(self) -> float:
+        return _freq_step(self.p1, self.grid.n1, self.grid.dt1)
+
+    @property
+    def du2(self) -> float:
+        return _freq_step(self.p2, self.grid.n2, self.grid.dt2)
 
 
 def make_config(p1: ParamSet, p2: ParamSet, n1: int, n2: int,
                 dt1: float = 1.0, dt2: float = 1.0,
                 side: str = TWO_SIDED) -> TransformConfig:
-    """Build a config with the frequency steps derived from b1, b2."""
-    return TransformConfig(p1, p2, make_grid(n1, n2, dt1, dt2, p1, p2), side)
+    """Build a config from the quintuples, the grid sizes and the time steps."""
+    return TransformConfig(p1, p2, Grid(n1, n2, dt1, dt2), side)
 
 
 def _axes(cfg: TransformConfig):
     """Per-axis (params, size, time step, frequency step), axis 1 first."""
     g = cfg.grid
-    return (cfg.p1, g.n1, g.dt1, g.du1), (cfg.p2, g.n2, g.dt2, g.du2)
+    return (cfg.p1, g.n1, g.dt1, cfg.du1), (cfg.p2, g.n2, g.dt2, cfg.du2)
 
 
 def _time_phase(p: ParamSet, xi, dt: float):
@@ -233,16 +239,12 @@ def _pointwise_sandwich(comps, left, right):
 
     ``left`` is an i-complex vector over axis 1, ``right`` the complex
     bookkeeping exp(i*theta) of a j-complex vector exp(j*theta) over
-    axis 2; pass None to skip a factor.  Returns a new component array.
+    axis 2.  Returns a new component array.
     """
-    uv = comps.view(np.complex128)
-    if left is not None:
-        uv = left[:, None, None] * uv
+    uv = left[:, None, None] * comps.view(np.complex128)
     u, v = uv[..., 0], uv[..., 1]
-    if right is not None:
-        c, s = right.real, right.imag
-        u, v = u * c - v * s, v * c + u * s
-    return np.stack([u, v], axis=-1).view(np.float64)
+    c, s = right.real, right.imag
+    return np.stack([u * c - v * s, v * c + u * s], axis=-1).view(np.float64)
 
 
 def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
@@ -261,8 +263,7 @@ def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
     n = arr.shape[0]
     if n == 0:
         raise ValueError("dqpft_1d needs at least one sample")
-    du = 2.0 * math.pi * p.b / (n * dt)
-    kern = _kernel_matrix(p, n, dt, du)
+    kern = _kernel_matrix(p, n, dt, _freq_step(p, n, dt))
     if not quat:
         return arr.astype(np.complex128) @ kern
     # q*z = u*z + (v*conj(z))*j for an i-complex z; BLAS products are not

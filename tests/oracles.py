@@ -34,15 +34,17 @@ def axis_phase(p, n, dt, du, xi, w) -> float:
 def brute_forward(f: QSignal2D, cfg) -> QSignal2D:
     """Four-nested-loop evaluation of the defining transform sum."""
     g = cfg.grid
+    du1 = 2.0 * math.pi * cfg.p1.b / (g.n1 * g.dt1)
+    du2 = 2.0 * math.pi * cfg.p2.b / (g.n2 * g.dt2)
     scale = 1.0 / math.sqrt(g.n1 * g.n2)
     out = np.empty((g.n1, g.n2, 4))
     for w1 in range(g.n1):
         for w2 in range(g.n2):
             acc = Quaternion()
             for x1 in range(g.n1):
-                lk = expi(-axis_phase(cfg.p1, g.n1, g.dt1, g.du1, x1, w1))
+                lk = expi(-axis_phase(cfg.p1, g.n1, g.dt1, du1, x1, w1))
                 for x2 in range(g.n2):
-                    rk = expj(-axis_phase(cfg.p2, g.n2, g.dt2, g.du2, x2, w2))
+                    rk = expj(-axis_phase(cfg.p2, g.n2, g.dt2, du2, x2, w2))
                     s = f.at(x1, x2)
                     if cfg.side == "two_sided":
                         acc = acc + lk * s * rk
@@ -62,15 +64,17 @@ def brute_inverse(F: QSignal2D, cfg) -> QSignal2D:
     product in reversed order, j-factor first, on the same side.
     """
     g = cfg.grid
+    du1 = 2.0 * math.pi * cfg.p1.b / (g.n1 * g.dt1)
+    du2 = 2.0 * math.pi * cfg.p2.b / (g.n2 * g.dt2)
     scale = 1.0 / math.sqrt(g.n1 * g.n2)
     out = np.empty((g.n1, g.n2, 4))
     for x1 in range(g.n1):
         for x2 in range(g.n2):
             acc = Quaternion()
             for w1 in range(g.n1):
-                lk = expi(axis_phase(cfg.p1, g.n1, g.dt1, g.du1, x1, w1))
+                lk = expi(axis_phase(cfg.p1, g.n1, g.dt1, du1, x1, w1))
                 for w2 in range(g.n2):
-                    rk = expj(axis_phase(cfg.p2, g.n2, g.dt2, g.du2, x2, w2))
+                    rk = expj(axis_phase(cfg.p2, g.n2, g.dt2, du2, x2, w2))
                     s = F.at(w1, w2)
                     if cfg.side == "two_sided":
                         acc = acc + lk * s * rk

@@ -8,13 +8,13 @@ from dqqpft.params import (
     ParameterError,
     ParamSet,
     format_param_pair,
-    make_grid,
     parse_param_pair,
     parse_preset,
     preset_qfrft,
     preset_qft,
     preset_qlct,
 )
+from dqqpft.transform import make_config
 
 
 def test_paramset_rejects_zero_b():
@@ -29,41 +29,35 @@ def test_paramset_rejects_non_finite():
         ParamSet(0, float("inf"), 0, 0, 0)
 
 
-def test_make_grid_sampling_relation():
+def test_config_derives_the_frequency_step():
     p = ParamSet(0, 1, 0, 0, 0)
-    g = make_grid(4, 4, 0.5, 0.5, p, p)
-    assert g.du1 == pytest.approx(math.pi, rel=0, abs=0)
-    assert g.du2 == pytest.approx(math.pi)
-    g1 = make_grid(1, 1, 1.0, 1.0, p, p)
-    assert g1.du1 == pytest.approx(2 * math.pi)
-
-
-def test_make_grid_general_b():
+    cfg = make_config(p, p, 4, 4, 0.5, 0.5)
+    assert cfg.du1 == math.pi and cfg.du2 == math.pi
+    assert make_config(p, p, 1, 1).du1 == 2 * math.pi
     p1 = ParamSet(0.3, -1.7, 0.1, 0.2, 0.4)
     p2 = ParamSet(0, 0.25, 0, 0, 0)
-    g = make_grid(6, 10, 0.8, 1.25, p1, p2)
-    assert g.du1 == 2 * math.pi * -1.7 / (6 * 0.8)
-    assert g.du2 == 2 * math.pi * 0.25 / (10 * 1.25)
+    cfg = make_config(p1, p2, 6, 10, 0.8, 1.25)
+    assert cfg.du1 == 2 * math.pi * -1.7 / (6 * 0.8)
+    assert cfg.du2 == 2 * math.pi * 0.25 / (10 * 1.25)
+    with pytest.raises(AttributeError):
+        cfg.du1 = 1.0
 
 
-def test_make_grid_rejects_bad_sizes_and_steps():
-    p = ParamSet(0, 1, 0, 0, 0)
-    with pytest.raises(ParameterError):
-        make_grid(0, 4, 1, 1, p, p)
-    with pytest.raises(ParameterError):
-        make_grid(4, -1, 1, 1, p, p)
-    with pytest.raises(ParameterError):
-        make_grid(4, 4, 0.0, 1, p, p)
-    with pytest.raises(ParameterError):
-        make_grid(4, 4, 1, -2.0, p, p)
+def test_grid_rejects_bad_sizes_and_steps():
+    for fields, name in (((0, 4, 1, 1), "n1"), ((4, -1, 1, 1), "n2"),
+                         ((4.0, 4, 1, 1), "n1"), ((True, 4, 1, 1), "n1"),
+                         ((4, 4, 0.0, 1), "dt1"), ((4, 4, 1, -2.0), "dt2"),
+                         ((4, 4, math.inf, 1), "dt1"), ((4, 4, 1, math.nan), "dt2")):
+        with pytest.raises(ParameterError, match=f"^{name} must be a positive"):
+            Grid(*fields)
 
 
 def test_grid_construction_is_deterministic():
-    p1 = ParamSet(0.11, 1.3, -0.7, 0.2, 0.9)
-    p2 = ParamSet(-0.5, -0.8, 0.6, 0.1, -0.3)
-    a = make_grid(7, 9, 0.77, 1.31, p1, p2)
-    b = make_grid(7, 9, 0.77, 1.31, p1, p2)
-    assert a == b  # bit-identical fields, dataclass equality
+    a = Grid(7, 9, 0.77, 1.31)
+    b = Grid(np.int64(7), 9, np.float64(0.77), 1.31)
+    assert a == b and hash(a) == hash(b)  # bit-identical fields, dataclass equality
+    assert type(b.n1) is int and type(b.dt1) is float
+    assert type(Grid(2, 2, 1, 1).dt1) is float
 
 
 def test_preset_qft():
@@ -146,5 +140,5 @@ def test_parse_preset_specs():
 
 
 def test_grid_is_value_type():
-    g = Grid(2, 3, 1.0, 1.0, 1.0, 2.0)
+    g = Grid(2, 3, 1.0, 2.0)
     assert g.n1 == 2 and g.n2 == 3

@@ -46,12 +46,13 @@ def rand_cfg(rng, n1, n2, side=TWO_SIDED):
 
 # --- config ---------------------------------------------------------------
 
-def test_config_rejects_inconsistent_grid():
+def test_config_rejects_a_hand_built_grid_with_a_bad_field():
     from dqqpft.params import Grid
     p1, p2 = preset_qft()
-    bad = Grid(2, 2, 1.0, 1.0, 1.0, math.pi)  # du1 should be pi for n=2, dt=1, b=1
-    with pytest.raises(ParameterError):
-        TransformConfig(p1, p2, bad)
+    with pytest.raises(ParameterError, match="n1 must be a positive integer, got 0"):
+        TransformConfig(p1, p2, Grid(0, 2, 1.0, 1.0))
+    with pytest.raises(ParameterError, match="dt1 must be a positive finite step, got nan"):
+        TransformConfig(p1, p2, Grid(2, 2, math.nan, 1.0))
 
 
 def test_config_rejects_unknown_side():
@@ -475,8 +476,7 @@ def test_pointwise_sandwich_matches_scalar_product(with_left, with_right):
         comps.flags.writeable = False
         a = rng.uniform(-4.0, 4.0, size=n1) if with_left else np.zeros(n1)
         b = rng.uniform(-4.0, 4.0, size=n2) if with_right else np.zeros(n2)
-        got = _pointwise_sandwich(comps, np.exp(1j * a) if with_left else None,
-                                  np.exp(1j * b) if with_right else None)
+        got = _pointwise_sandwich(comps, np.exp(1j * a), np.exp(1j * b))
         assert got.shape == (n1, n2, 4)
         for x1 in range(n1):
             for x2 in range(n2):

@@ -29,18 +29,22 @@ def test_paramset_rejects_non_finite():
         ParamSet(0, float("inf"), 0, 0, 0)
 
 
-def test_config_derives_the_frequency_step():
+def test_make_grid_sampling_relation():
+    # du = 2*pi*b/(N*dt) is derived by the config, not stored on the grid
     p = ParamSet(0, 1, 0, 0, 0)
     cfg = make_config(p, p, 4, 4, 0.5, 0.5)
     assert cfg.du1 == math.pi and cfg.du2 == math.pi
     assert make_config(p, p, 1, 1).du1 == 2 * math.pi
+    with pytest.raises(AttributeError):
+        cfg.du1 = 1.0
+
+
+def test_make_grid_general_b():
     p1 = ParamSet(0.3, -1.7, 0.1, 0.2, 0.4)
     p2 = ParamSet(0, 0.25, 0, 0, 0)
     cfg = make_config(p1, p2, 6, 10, 0.8, 1.25)
     assert cfg.du1 == 2 * math.pi * -1.7 / (6 * 0.8)
     assert cfg.du2 == 2 * math.pi * 0.25 / (10 * 1.25)
-    with pytest.raises(AttributeError):
-        cfg.du1 = 1.0
 
 
 def test_grid_rejects_bad_sizes_and_steps():

@@ -50,7 +50,6 @@ from .transform import (
     TransformConfig,
     circular_shift,
     conjugate_transform_decomposition,
-    dqft2,
     dqpft_1d,
     forward_direct,
     inverse_direct,

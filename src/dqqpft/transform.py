@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Grid, ParameterError, ParamSet, _freq_step
-from .quaternion import I, J, K, qconj, qmul
+from .quaternion import I, J, qconj, qmul
 from .signal import QSignal2D, _real_array
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "right_kernel",
     "forward_direct",
     "inverse_direct",
-    "dqft2",
     "dqpft_1d",
     "modulated_signal",
     "circular_shift",
@@ -69,7 +68,8 @@ _SIDES = (TWO_SIDED, LEFT_SIDED, RIGHT_SIDED)
 class TransformConfig:
     """Parameter pair, grid and kernel placement for one transform.
 
-    ``du1``/``du2`` are the frequency steps derived from b, N and dt.
+    ``du1``/``du2`` are the frequency steps derived from b, N and dt.  A
+    pair whose kernel phase overflows float64 on either axis is refused.
     """
 
     p1: ParamSet
@@ -80,6 +80,9 @@ class TransformConfig:
     def __post_init__(self):
         if self.side not in _SIDES:
             raise ParameterError(f"side must be one of {_SIDES}, got {self.side!r}")
+        g = self.grid
+        _axis_step(self.p1, g.n1, g.dt1, "axis 1")
+        _axis_step(self.p2, g.n2, g.dt2, "axis 2")
 
     @property
     def du1(self) -> float:
@@ -118,6 +121,24 @@ def _axis_phase(p: ParamSet, n: int, dt: float, du: float,
     xi = np.asarray(xi, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     return _time_phase(p, xi, dt) + (2.0 * math.pi / n) * xi * w + _freq_phase(p, w, du)
+
+
+def _axis_step(p: ParamSet, n: int, dt: float, axis: str) -> float:
+    """Frequency step of one axis whose kernel phase is finite everywhere.
+
+    Every term of the phase grows in magnitude with x and w, so it is
+    finite on the whole axis when it is finite at x = w = n - 1; an
+    infinite du reads there as NaN through 0*inf.
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ParameterError(f"{axis}: dt must be a positive finite step, got {dt!r}")
+    du = _freq_step(p, n, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = _axis_phase(p, n, dt, du, n - 1, n - 1)
+    if not np.isfinite(top):
+        raise ParameterError(f"{axis}: kernel phase overflows float64 at N={n}, "
+                             f"dt={dt!r}, du={du!r}")
+    return du
 
 
 def _kernel_matrix(p: ParamSet, n: int, dt: float, du: float) -> np.ndarray:
@@ -219,13 +240,6 @@ def inverse_direct(F: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     return QSignal2D._adopt(qconj(_sandwich(z1.T, b0.T, b2.T, qconj(F.comps), other_side)))
 
 
-def dqft2(f: QSignal2D) -> QSignal2D:
-    """Unnormalised two-sided quaternion DFT (plain 2*pi*x*w/N kernels)."""
-    z1, z2 = (np.exp(-2j * math.pi * np.outer(np.arange(n), np.arange(n)) / n)
-              for n in (f.n1, f.n2))
-    return QSignal2D._adopt(_sandwich(z1, z2.real, z2.imag, f.comps, TWO_SIDED))
-
-
 def _time_chirp(p: ParamSet, n: int, dt: float, sign: int) -> np.ndarray:
     return np.exp(sign * 1j * _time_phase(p, np.arange(n), dt))
 
@@ -254,8 +268,6 @@ def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
     quaternion component array; returns the matching representation.  The
     frequency step is du = 2*pi*b/(N*dt).
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ParameterError(f"dt must be a positive finite step, got {dt!r}")
     arr = np.asarray(f)
     quat = arr.ndim == 2 and arr.shape[1] == 4
     if not quat and arr.ndim != 1:
@@ -263,7 +275,7 @@ def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
     n = arr.shape[0]
     if n == 0:
         raise ValueError("dqpft_1d needs at least one sample")
-    kern = _kernel_matrix(p, n, dt, _freq_step(p, n, dt))
+    kern = _kernel_matrix(p, n, dt, _axis_step(p, n, dt, "dqpft_1d"))
     if not quat:
         return arr.astype(np.complex128) @ kern
     # q*z = u*z + (v*conj(z))*j for an i-complex z; BLAS products are not
@@ -336,14 +348,20 @@ def translation_rhs(f: QSignal2D, cfg: TransformConfig, k1: int, k2: int) -> QSi
 
 
 def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:
-    """Componentwise assembly Q[f0] - i*Q[f1] - Q[f2]*j - i*Q[f3]*k.
+    """Transform of conj(f) assembled as Q[f0] - i*Q[f1] - Q[f2]*j - i*Q[f3]*j.
 
-    This is the textbook decomposition of the transform of a conjugated
-    signal.  The w, x and y component placements match the transform of
-    conj(f) identically; the k-component term mixes both kernel axes and
-    is known not to, so consumers compare rather than assume equality.
+    Q[fn] is the transform of the real component fn, and conj(f) is
+    f0 - f1*i - f2*j - f3*k.  A real sample commutes with every factor,
+    i commutes with the left exponential and j with the right one, so
+
+        e^{-i*a} * (f1*i) * e^{-j*b} = i * Q[f1],
+        e^{-i*a} * (f2*j) * e^{-j*b} = Q[f2] * j,
+        e^{-i*a} * (f3*k) * e^{-j*b} = i * Q[f3] * j,
+
+    the last because k = i*j.  The assembly is therefore an identity
+    for every signal, not only for signals without a k component.
     """
     _check_identity(f, cfg, "conjugate decomposition")
     q = [forward_direct(QSignal2D.from_real(f.comps[..., n]), cfg).comps for n in range(4)]
-    i, j, k = (u.to_array() for u in (I, J, K))
-    return QSignal2D._adopt(q[0] - qmul(i, q[1]) - qmul(q[2], j) - qmul(i, qmul(q[3], k)))
+    i, j = I.to_array(), J.to_array()
+    return QSignal2D._adopt(q[0] - qmul(i, q[1]) - qmul(q[2], j) - qmul(i, qmul(q[3], j)))

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from dqqpft.bench import run_bench
-from dqqpft.fast import _fft2_raw, forward_fast, make_plan
+from dqqpft.fast import _fft2_raw, dqft2_via_fft, forward_fast, make_plan
 from dqqpft.params import ParamSet, preset_qfrft, preset_qft, preset_qlct
 from dqqpft.qconv import conv_theorem_check, qp_convolve
 from dqqpft.signal import QSignal2D, max_deviation, rel_deviation
 from dqqpft.transform import (
     circular_shift,
-    dqft2,
     forward_direct,
     inverse_direct,
     make_config,
@@ -121,7 +120,7 @@ def test_criterion_05_special_case_collapse():
         p1, p2 = preset_qft()
         cfg = make_config(p1, p2, n1, n2)
         f = rand_signal(rng, n1, n2)
-        ref = dqft2(f) * (1.0 / math.sqrt(n1 * n2))
+        ref = dqft2_via_fft(f) * (1.0 / math.sqrt(n1 * n2))
         worst_qft = max(worst_qft, rel_deviation(forward_direct(f, cfg), ref))
     assert worst_qft <= 1e-12
 

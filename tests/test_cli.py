@@ -7,8 +7,8 @@ import pytest
 import dqqpft.cli
 import dqqpft.qconv
 from dqqpft.cli import main
-from dqqpft.io import read_image_ppm, read_qcsv, write_image_ppm, write_qcsv
-from dqqpft.params import parse_param_pair, preset_qft
+from dqqpft.io import QcsvError, read_image_ppm, read_qcsv, write_image_ppm, write_qcsv
+from dqqpft.params import ParameterError, parse_param_pair, parse_preset, preset_qft
 from dqqpft.qconv import conv_theorem_check, qp_convolve
 from dqqpft.signal import QSignal2D, rel_deviation
 from dqqpft.transform import make_config
@@ -306,6 +306,42 @@ def test_non_finite_preset_is_usage_error_naming_it(example_qcsv, tmp_path, caps
     assert "math domain error" not in err
 
 
+# finite flag values whose axis-1 kernel phase overflows float64
+OVERFLOWING_PHASES = [
+    ("--preset", "qft", (1e-310, 1.0)),
+    ("--params", "0.5,1,0,0,0:0,1,0,0,0", (1e200, 1.0)),
+    ("--params", "0,1,0.5,0,0:0,1,0,0,0", (1e-200, 1.0)),
+    ("--preset", "qfrft:0.7,1.2", (1e200, 1.0)),
+]
+
+
+@pytest.mark.parametrize("flag, value, dt", OVERFLOWING_PHASES)
+def test_overflowing_phase_is_usage_error_naming_the_axis(tmp_path, capsys, flag, value, dt):
+    img = tmp_path / "img.ppm"
+    img.write_bytes(b"P6\n5 3\n255\n" + bytes(range(0, 225, 5)))
+    out = tmp_path / "bad.qcsv"
+    assert main(["forward", flag, value, "--dt", f"{dt[0]!r},{dt[1]!r}",
+                 "--in", str(img), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "axis 1" in lines[0]
+    assert not out.exists()
+    pair = parse_param_pair(value) if flag == "--params" else parse_preset(value)
+    with pytest.raises(ParameterError, match="axis 1"):
+        make_config(*pair, 3, 5, *dt)
+
+
+def test_qcsv_header_with_overflowing_phase_is_a_file_error(tmp_path, capsys):
+    bad = tmp_path / "tiny_dt.qcsv"
+    bad.write_text("2,2\n1e-310,1\n0,1,0,0,0:0,1,0,0,0\n" + "1,0,0,0\n" * 4)
+    with pytest.raises(QcsvError, match="axis 1"):
+        read_qcsv(bad)
+    assert main(["forward", "--in", str(bad), "--out", str(tmp_path / "o.qcsv")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "axis 1" in lines[0]
+
+
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-7"]])
 def test_verify_rejects_negative_seed_as_usage_error(capsys, argv):
     assert main(["verify", *argv]) == 2
@@ -324,8 +360,11 @@ def test_measurement_helpers_stay_out_of_package_namespace():
     for name in ("lmul", "rmul", "mul", "conjugate", "norm", "norm_sq", "scalar_part",
                  "symplectic_split", "symplectic_join", "preset", "energy"):
         assert not hasattr(dqqpft, name)
-    # the chirp-DFT-chirp factorisation has one implementation, the fast path
-    assert not hasattr(dqqpft, "forward_via_dqft")
+    # the chirp-DFT-chirp factorisation has one implementation, the fast path,
+    # and the plain two-sided DFT is forward_direct at the qft preset
+    for name in ("forward_via_dqft", "dqft2"):
+        assert not hasattr(dqqpft, name)
+    assert not hasattr(dqqpft.transform, "dqft2")
     # pieces of the fast path, kept in dqqpft.fast for the benchmark's tracer,
     # and the grid builder the derived frequency steps replaced
     for name in ("make_psi", "dqft2_via_fft", "make_grid"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dqqpft.fast import make_plan, make_psi
+from dqqpft.fast import dqft2_via_fft, make_plan, make_psi
 from dqqpft.params import ParameterError, ParamSet, preset_qft
 from dqqpft.qconv import conv_theorem_rhs
 from dqqpft.quaternion import Quaternion
@@ -17,7 +17,6 @@ from dqqpft.transform import (
     _pointwise_sandwich,
     circular_shift,
     conjugate_transform_decomposition,
-    dqft2,
     dqpft_1d,
     forward_direct,
     inverse_direct,
@@ -28,6 +27,7 @@ from dqqpft.transform import (
     right_kernel,
     translation_rhs,
 )
+from dqqpft.verify import _qft_oracle
 from oracles import brute_forward, brute_inverse, expi, expj, rand_params, rand_signal
 
 EXAMPLE_IN = [[35.0, 30.0], [25.0, 20.0]]
@@ -198,18 +198,19 @@ def test_sides_agree_on_real_signals():
         assert rel_deviation(got, ref) < 1e-12
 
 
-# --- dqft2 and the chirp factorisation ------------------------------------
+# --- the plain two-sided DFT the qft preset collapses to -------------------
+# _qft_oracle is the written-out reference of verify's qft-collapse
 
 def test_dqft2_delta_gives_constant_one():
     comps = np.zeros((3, 4, 4))
     comps[0, 0, 0] = 1.0
-    F = dqft2(QSignal2D(comps))
+    F = _qft_oracle(QSignal2D(comps)) * math.sqrt(3 * 4)
     np.testing.assert_allclose(F.w, 1.0, atol=1e-14)
     np.testing.assert_allclose(F.comps[..., 1:], 0, atol=1e-14)
 
 
 def test_dqft2_worked_example_unnormalised():
-    F = dqft2(QSignal2D.from_real(EXAMPLE_IN))
+    F = _qft_oracle(QSignal2D.from_real(EXAMPLE_IN)) * 2.0
     np.testing.assert_allclose(F.w, np.array(EXAMPLE_OUT) * 2, atol=1e-11)
 
 
@@ -219,7 +220,7 @@ def test_forward_equals_scaled_dqft2_under_qft():
         n1, n2 = (int(v) for v in rng.integers(2, 9, size=2))
         f = rand_signal(rng, n1, n2)
         got = forward_direct(f, qft_cfg(n1, n2))
-        want = dqft2(f) * (1 / math.sqrt(n1 * n2))
+        want = dqft2_via_fft(f) * (1 / math.sqrt(n1 * n2))
         assert rel_deviation(got, want) < 1e-12
 
 
@@ -444,24 +445,23 @@ def test_conjugate_j_component_also_matches():
     assert rel_deviation(got, forward_direct(f.conjugate(), cfg)) < 1e-13
 
 
-def test_conjugate_general_deviation_is_measured_not_asserted():
-    # the k-component placement in the decomposition is not an identity;
-    # the function must still produce a finite, well-formed grid
+def test_conjugate_decomposition_is_exact_on_general_signals():
     rng = np.random.default_rng(27)
-    cfg = rand_cfg(rng, 3, 3)
-    f = rand_signal(rng, 3, 3)
-    got = conjugate_transform_decomposition(f, cfg)
-    dev = rel_deviation(got, forward_direct(f.conjugate(), cfg))
-    assert math.isfinite(dev)
-    # on a pure k signal at a single point the mismatch is structural
+    for _ in range(10):
+        n1, n2 = (int(v) for v in rng.integers(1, 7, size=2))
+        cfg = rand_cfg(rng, n1, n2)
+        f = rand_signal(rng, n1, n2)
+        got = conjugate_transform_decomposition(f, cfg)
+        assert rel_deviation(got, forward_direct(f.conjugate(), cfg)) < 1e-12
+    # a pure k sample: conj(k) = -k, and -i*Q[f3]*j = -i*j = -k
     comps = np.zeros((1, 1, 4))
     comps[0, 0, 3] = 1.0
     fk = QSignal2D(comps)
     cfg1 = qft_cfg(1, 1)
     got = conjugate_transform_decomposition(fk, cfg1)
     want = forward_direct(fk.conjugate(), cfg1)
-    assert got.at(0, 0) == Quaternion(0, 0, 1, 0)   # literal assembly gives +j
-    assert want.at(0, 0) == Quaternion(0, 0, 0, -1)  # true transform gives -k
+    assert want.at(0, 0) == Quaternion(0, 0, 0, -1)
+    assert got.at(0, 0) == Quaternion(0, 0, 0, -1)
 
 
 # --- the component-array form ----------------------------------------------
@@ -496,7 +496,7 @@ def test_array_code_never_builds_the_symplectic_pair(monkeypatch):
         cfg = rand_cfg(rng, 4, 5, side)
         assert max_deviation(inverse_direct(forward_direct(f, cfg), cfg), f) < 1e-12
     cfg = rand_cfg(rng, 4, 5)
-    dqft2(f)
+    dqft2_via_fft(f)
     dqpft_1d(f.comps[0], cfg.p1)
     modulated_signal(f, 1, 2)
     modulation_rhs(f, cfg, 1, 2)

@@ -5,6 +5,7 @@ def test_suite_passes_and_reports_diagnostics():
     results = run_verify(seed=7)
     assert all_passed(results)
     names = {r.name for r in results}
+    diagnostics = {r.name for r in results if r.diagnostic}
     # every asserted family is present
     for expected in (
         "quaternion-norm-multiplicative",
@@ -19,20 +20,18 @@ def test_suite_passes_and_reports_diagnostics():
         "translation-circular-zero-chirp",
         "translation-nonwrapping-support",
         "conjugate-pure-components",
+        "conjugate-general",
         "convolution-delta-identity",
         "convolution-factorisation-verified-regime",
         "dqft2-via-fft-vs-direct",
     ):
-        assert expected in names
-    diagnostics = {r.name for r in results if r.diagnostic}
-    for expected in (
+        assert expected in names and expected not in diagnostics
+    assert diagnostics == {
         "plancherel-scaling",
         "translation-circular-chirped",
-        "conjugate-general",
         "convolution-factorisation-general",
         "alt-recombination",
-    ):
-        assert expected in diagnostics
+    }
 
 
 def test_report_format_lines():

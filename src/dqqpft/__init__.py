@@ -9,7 +9,7 @@ FFT entry point, on ``numpy.fft``), the matching quadratic-phase
 convolution, qcsv/PPM I/O and a seeded verification harness.
 """
 
-from .fast import FastPlan, forward_fast, inverse_fast, make_plan
+from .fast import FastPlan, dqpft_1d, forward_fast, inverse_fast, make_plan
 from .io import (
     MAPPINGS,
     PpmError,
@@ -50,7 +50,6 @@ from .transform import (
     TransformConfig,
     circular_shift,
     conjugate_transform_decomposition,
-    dqpft_1d,
     forward_direct,
     inverse_direct,
     left_kernel,

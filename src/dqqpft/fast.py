@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ParameterError
-from .signal import QSignal2D
+from .params import ParameterError, ParamSet, preset_qft
+from .signal import QSignal2D, _real_array
 from .transform import (
     TWO_SIDED,
     TransformConfig,
@@ -52,6 +52,7 @@ from .transform import (
     _freq_chirp,
     _pointwise_sandwich,
     _time_chirp,
+    make_config,
 )
 
 __all__ = [
@@ -59,6 +60,7 @@ __all__ = [
     "make_plan",
     "forward_fast",
     "inverse_fast",
+    "dqpft_1d",
 ]
 
 
@@ -176,3 +178,28 @@ def inverse_fast(F: QSignal2D, plan: FastPlan) -> QSignal2D:
     _check_dims(F, plan.cfg)
     return _chirp_dft_chirp(F.comps, (np.conj(plan.post1), np.conj(plan.post2)),
                             (np.conj(plan.pre1), np.conj(plan.pre2)), +1, _scale(plan))
+
+
+def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
+    """One-dimensional quadratic-phase transform with the kernel on the right.
+
+    Takes a complex (or real) vector or a real (N, 4) component array of
+    finite samples and returns the same form.  It is ``forward_fast`` on
+    an N x 1 grid with the unit ``qft`` kernel on axis 2; as q*z = u*z +
+    (v*conj(z))*j for the i-complex kernel z, v enters and leaves conjugated.
+    """
+    arr = np.asarray(f)
+    quat = arr.ndim == 2 and arr.shape[1] == 4
+    if not quat and arr.ndim != 1:
+        raise ValueError(f"expected a 1D vector or an (N, 4) array, got shape {arr.shape}")
+    if len(arr) == 0:
+        raise ValueError("dqpft_1d needs at least one sample")
+    plan = make_plan(make_config(p, preset_qft()[0], len(arr), 1, dt))
+    conj_v = np.array([1.0, 1.0, 1.0, -1.0])
+    comps = np.zeros((len(arr), 1, 4))
+    if quat:
+        comps[:, 0] = _real_array(arr) * conj_v
+    else:
+        comps.view(np.complex128)[:, 0, 0] = arr
+    out = forward_fast(QSignal2D._adopt(comps), plan).comps[:, 0]
+    return out * conj_v if quat else out.view(np.complex128)[:, 0].copy()

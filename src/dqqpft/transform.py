@@ -38,7 +38,7 @@ import numpy as np
 
 from .params import Grid, ParameterError, ParamSet, _freq_step
 from .quaternion import I, J, qconj, qmul
-from .signal import QSignal2D, _real_array
+from .signal import QSignal2D
 
 __all__ = [
     "TWO_SIDED",
@@ -50,7 +50,6 @@ __all__ = [
     "right_kernel",
     "forward_direct",
     "inverse_direct",
-    "dqpft_1d",
     "modulated_signal",
     "circular_shift",
     "modulation_rhs",
@@ -69,7 +68,7 @@ class TransformConfig:
     """Parameter pair, grid and kernel placement for one transform.
 
     ``du1``/``du2`` are the frequency steps derived from b, N and dt.  A
-    pair whose kernel phase overflows float64 on either axis is refused.
+    pair whose kernel phase or dt^2 overflows on either axis is refused.
     """
 
     p1: ParamSet
@@ -123,22 +122,21 @@ def _axis_phase(p: ParamSet, n: int, dt: float, du: float,
     return _time_phase(p, xi, dt) + (2.0 * math.pi / n) * xi * w + _freq_phase(p, w, du)
 
 
-def _axis_step(p: ParamSet, n: int, dt: float, axis: str) -> float:
-    """Frequency step of one axis whose kernel phase is finite everywhere.
+def _axis_step(p: ParamSet, n: int, dt: float, axis: str) -> None:
+    """Refuse an axis whose dt^2 or kernel phase overflows float64.
 
-    Every term of the phase grows in magnitude with x and w, so it is
-    finite on the whole axis when it is finite at x = w = n - 1; an
-    infinite du reads there as NaN through 0*inf.
+    dt^2 enters ``qp_convolve`` even where a = 0 keeps it out of the phase.
+    Every term of the phase grows with x and w, so the phase is finite on
+    the axis if it is at x = w = n - 1, where an infinite du reads as NaN.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ParameterError(f"{axis}: dt must be a positive finite step, got {dt!r}")
+    if not math.isfinite(dt * dt):
+        raise ParameterError(f"{axis}: dt={dt!r} squared overflows float64")
     du = _freq_step(p, n, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         top = _axis_phase(p, n, dt, du, n - 1, n - 1)
     if not np.isfinite(top):
         raise ParameterError(f"{axis}: kernel phase overflows float64 at N={n}, "
                              f"dt={dt!r}, du={du!r}")
-    return du
 
 
 def _kernel_matrix(p: ParamSet, n: int, dt: float, du: float) -> np.ndarray:
@@ -259,29 +257,6 @@ def _pointwise_sandwich(comps, left, right):
     u, v = uv[..., 0], uv[..., 1]
     c, s = right.real, right.imag
     return np.stack([u * c - v * s, v * c + u * s], axis=-1).view(np.float64)
-
-
-def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
-    """One-dimensional quadratic-phase transform with the kernel on the right.
-
-    Accepts a length-N complex (or real) vector, or a real (N, 4)
-    quaternion component array; returns the matching representation.  The
-    frequency step is du = 2*pi*b/(N*dt).
-    """
-    arr = np.asarray(f)
-    quat = arr.ndim == 2 and arr.shape[1] == 4
-    if not quat and arr.ndim != 1:
-        raise ValueError(f"expected a 1D vector or an (N, 4) array, got shape {arr.shape}")
-    n = arr.shape[0]
-    if n == 0:
-        raise ValueError("dqpft_1d needs at least one sample")
-    kern = _kernel_matrix(p, n, dt, _axis_step(p, n, dt, "dqpft_1d"))
-    if not quat:
-        return arr.astype(np.complex128) @ kern
-    # q*z = u*z + (v*conj(z))*j for an i-complex z; BLAS products are not
-    # conjugate-symmetric, so v's product is taken as conj(conj(v) @ kern)
-    u, v = np.ascontiguousarray(_real_array(arr), dtype=np.float64).view(np.complex128).T.copy()
-    return np.stack([u @ kern, np.conj(np.conj(v) @ kern)], axis=-1).view(np.float64)
 
 
 def modulated_signal(f: QSignal2D, eps1: int, eps2: int) -> QSignal2D:

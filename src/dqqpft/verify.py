@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fast import _fft2_raw, dqft2_via_fft, forward_fast, inverse_fast, make_plan
+from .fast import _fft2_raw, dqft2_via_fft, dqpft_1d, forward_fast, inverse_fast, make_plan
 from .params import ParamSet, preset_qfrft, preset_qft, preset_qlct
 from .qconv import conv_theorem_check, qp_convolve
 from .quaternion import J, Quaternion, embed_complex, qmul
@@ -29,7 +29,6 @@ from .transform import (
     _sandwich,
     circular_shift,
     conjugate_transform_decomposition,
-    dqpft_1d,
     forward_direct,
     inverse_direct,
     left_kernel,

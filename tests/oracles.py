@@ -56,6 +56,20 @@ def brute_forward(f: QSignal2D, cfg) -> QSignal2D:
     return QSignal2D(out)
 
 
+def loop_dqpft_1d(comps, p, dt) -> np.ndarray:
+    """Sample-by-sample sum of q[x] * exp(-i*ph(x, w)) / sqrt(N) over an (N, 4) array."""
+    n = len(comps)
+    du = 2.0 * math.pi * p.b / (n * dt)
+    qs = [Quaternion.from_array(q) for q in comps]
+    out = np.empty((n, 4))
+    for w in range(n):
+        acc = Quaternion()
+        for xi in range(n):
+            acc = acc + qs[xi] * expi(-axis_phase(p, n, dt, du, xi, w))
+        out[w] = (acc * (1.0 / math.sqrt(n))).to_array()
+    return out
+
+
 def brute_inverse(F: QSignal2D, cfg) -> QSignal2D:
     """Four-nested-loop inverse: conjugated kernels, summed over frequency.
 

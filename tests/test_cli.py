@@ -306,12 +306,13 @@ def test_non_finite_preset_is_usage_error_naming_it(example_qcsv, tmp_path, caps
     assert "math domain error" not in err
 
 
-# finite flag values whose axis-1 kernel phase overflows float64
+# finite flag values whose axis-1 kernel phase or time step squared overflows float64
 OVERFLOWING_PHASES = [
     ("--preset", "qft", (1e-310, 1.0)),
     ("--params", "0.5,1,0,0,0:0,1,0,0,0", (1e200, 1.0)),
     ("--params", "0,1,0.5,0,0:0,1,0,0,0", (1e-200, 1.0)),
     ("--preset", "qfrft:0.7,1.2", (1e200, 1.0)),
+    ("--preset", "qft", (1e200, 1.0)),
 ]
 
 
@@ -340,6 +341,22 @@ def test_qcsv_header_with_overflowing_phase_is_a_file_error(tmp_path, capsys):
     assert main(["forward", "--in", str(bad), "--out", str(tmp_path / "o.qcsv")]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "axis 1" in lines[0]
+
+
+def test_conv_with_overflowing_step_square_exits_2_for_a_flag_and_3_for_a_header(
+        tmp_path, example_qcsv, capsys):
+    # a = 0 keeps dt out of the qft phase, but qp_convolve's chirps square it
+    out = tmp_path / "c.qcsv"
+    assert main(["conv", "--preset", "qft", "--dt", "1e200,1", "--in", str(example_qcsv),
+                 "--in2", str(example_qcsv), "--out", str(out)]) == 2
+    bad = tmp_path / "huge_dt.qcsv"
+    bad.write_text("2,2\n1e200,1\n0,1,0,0,0:0,1,0,0,0\n" + "1,0,0,0\n" * 4)
+    assert main(["conv", "--in", str(bad), "--in2", str(bad), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: axis 1: ") for line in lines)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-7"]])

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dqqpft import dqpft_1d
 from dqqpft.fast import dqft2_via_fft, make_plan, make_psi
 from dqqpft.params import ParameterError, ParamSet, preset_qft
 from dqqpft.qconv import conv_theorem_rhs
@@ -17,7 +20,6 @@ from dqqpft.transform import (
     _pointwise_sandwich,
     circular_shift,
     conjugate_transform_decomposition,
-    dqpft_1d,
     forward_direct,
     inverse_direct,
     left_kernel,
@@ -28,7 +30,16 @@ from dqqpft.transform import (
     translation_rhs,
 )
 from dqqpft.verify import _qft_oracle
-from oracles import brute_forward, brute_inverse, expi, expj, rand_params, rand_signal
+from oracles import (
+    brute_forward,
+    brute_inverse,
+    expi,
+    expj,
+    loop_dqpft_1d,
+    rand_params,
+    rand_signal,
+    traced_peak,
+)
 
 EXAMPLE_IN = [[35.0, 30.0], [25.0, 20.0]]
 EXAMPLE_OUT = [[55.0, 5.0], [10.0, 0.0]]
@@ -267,21 +278,66 @@ def test_dqpft_1d_two_point_qft():
     np.testing.assert_allclose(got, [math.sqrt(2), 0], atol=1e-15)
 
 
-def test_dqpft_1d_vs_loop_oracle():
-    rng = np.random.default_rng(13)
-    n = 7
-    p = rand_params(rng)
-    dt = 0.8
-    du = 2 * math.pi * p.b / (n * dt)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = dqpft_1d(x, p, dt)
-    for w in range(n):
-        acc = 0j
-        for xi in range(n):
-            ph = (p.a * xi * xi * dt * dt + 2 * math.pi * xi * w / n
-                  + p.c * w * w * du * du + p.d * xi * dt + p.e * w * du)
-            acc += x[xi] * np.exp(-1j * ph)
-        assert abs(got[w] - acc / math.sqrt(n)) < 1e-12
+def _rand_1d(rng, n, quat):
+    if quat:
+        return rng.uniform(-1.0, 1.0, size=(n, 4))
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _comps_1d(x):
+    """(N, 4) components of a quaternion array, or of a complex vector as (re, im, 0, 0)."""
+    if x.ndim == 2:
+        return x
+    return np.stack([x.real, x.imag, np.zeros(len(x)), np.zeros(len(x))], axis=-1)
+
+
+def _rel_1d(got, comps_want):
+    """Largest sample error over the largest sample norm, both as (N, 4) components."""
+    got = _comps_1d(got)
+    return (np.linalg.norm(got - comps_want, axis=1).max()
+            / np.linalg.norm(comps_want, axis=1).max())
+
+
+# N = 1, N = 2 and prime lengths up to 37 are in range
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 39), quat=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_dqpft_1d_vs_loop_oracle(n, quat, seed):
+    rng = np.random.default_rng(seed)
+    p, dt = rand_params(rng), rng.uniform(0.25, 2.0)
+    x = _rand_1d(rng, n, quat)
+    assert _rel_1d(dqpft_1d(x, p, dt), loop_dqpft_1d(_comps_1d(x), p, dt)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 39), quat=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_dqpft_1d_is_the_right_sided_direct_transform_of_an_n_by_1_grid(n, quat, seed):
+    rng = np.random.default_rng(seed)
+    p, dt = rand_params(rng), rng.uniform(0.25, 2.0)
+    x = _rand_1d(rng, n, quat)
+    cfg = make_config(p, preset_qft()[0], n, 1, dt, side=RIGHT_SIDED)
+    want = forward_direct(QSignal2D(_comps_1d(x)[:, None]), cfg).comps[:, 0]
+    assert _rel_1d(dqpft_1d(x, p, dt), want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4096, 4099])
+def test_dqpft_1d_at_large_n_is_the_unitary_fft(n):
+    x = _rand_1d(np.random.default_rng(n), n, quat=False)
+    np.testing.assert_allclose(dqpft_1d(x, preset_qft()[0]), np.fft.fft(x) / math.sqrt(n),
+                               rtol=0, atol=1e-12)
+
+
+def test_dqpft_1d_memory_is_linear_in_n():
+    # a dense N x N complex kernel alone would be N times the input's bytes
+    rng = np.random.default_rng(33)
+    x = _rand_1d(rng, 4096, quat=False)
+    assert traced_peak(dqpft_1d, x, rand_params(rng), 0.7) <= 16 * x.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.array([1.0, np.nan]), np.array([1j, np.inf]),
+                                 np.array([[0.0, 0.0, np.inf, 0.0]])])
+def test_dqpft_1d_refuses_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="non-finite samples"):
+        dqpft_1d(bad, preset_qft()[0])
 
 
 def test_dqpft_1d_quaternion_input():

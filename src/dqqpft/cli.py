@@ -193,15 +193,15 @@ def _cmd_bench(args) -> int:
 
 
 def _attach_params_value(argv: list[str]) -> list[str]:
-    """Rewrite '--params VALUE' as '--params=VALUE' when VALUE starts with '-'.
+    """Rewrite '--params VALUE' or '--dt VALUE' as FLAG=VALUE when VALUE starts with '-'.
 
     argparse reads a separate token such as '-0.3,1,0,0,0:...' as an
-    unknown flag, so a negative first parameter would otherwise be rejected.
+    unknown flag, so a negative first value would otherwise be rejected.
     """
     argv = list(argv)
     for i in range(len(argv) - 2, -1, -1):
-        if argv[i] == "--params" and argv[i + 1].startswith("-"):
-            argv[i:i + 2] = [f"--params={argv[i + 1]}"]
+        if argv[i] in ("--params", "--dt") and argv[i + 1].startswith("-"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     return argv
 
 

@@ -2,34 +2,17 @@
 
 The pipeline mirrors the chirp-DFT-chirp factorisation of the direct
 transform, with the plain two-sided quaternion DFT evaluated as two
-plain complex 2D DFTs.  Read a sample as q = u + v*j with the i-complex
-u = w + i*x and v = y + i*z (the component array viewed as complex
-pairs), and split it into the two planes
+plain complex 2D DFTs on the planes p+ = u - i*v and p- = u + i*v of
+each sample q = u + v*j.  The split, the broadcast chirps and the join
+are ``transform._split_planes``, ``_chirp_planes`` and ``_join_planes``,
+shared with the pointwise products of the identity helpers.  The DFT
+kernel exp(-i*th1) * q * exp(-j*th2) becomes exp(-i*(th1 + th2)) on p-,
+a plain ``fft2``, and exp(-i*(th1 - th2)) on p+: axis 0 keeps the sign
+and axis 1, the j-axis, takes the flipped one.
 
-    p+ = u - i*v = (w + z) + i*(x - y),
-    p- = u + i*v = (w - z) + i*(x + y).
-
-A two-sided factor acts on each plane as one complex exponential,
-
-    exp(i*a) * q * exp(j*b)   maps   p+ -> exp(i*(a - b)) * p+,
-                                     p- -> exp(i*(a + b)) * p-,
-
-so each chirp multiplies a plane by its axis-1 vector down the rows and
-its axis-2 vector (conjugated on p+) along the columns, broadcast, never
-formed as an N1 x N2 grid.  The DFT kernel exp(-i*th1) * q * exp(-j*th2)
-becomes exp(-i*(th1 + th2)) on p-, a plain ``fft2``, and
-exp(-i*(th1 - th2)) on p+: axis 0 keeps the sign and axis 1, the
-j-axis, takes the flipped one.  The sample is rebuilt as
-u = (p+ + p-)/2 and v = i*(p+ - p-)/2; the 1/2 rides on the last chirp.
-
-Each transform runs inside its output buffer.  p+ and p- are written
-straight into the two complex halves out[..., 0] and out[..., 1] of the
-output's complex view, chirped and transformed there in place, and
-joined there: p+ += p- makes u, and p+ - p- is taken as
-(p+ + p-) - 2*p-, which needs no temporary plane.  2*p- is the plane
-without its 1/2, a unit chirp times the FFT output times a scale of at
-most 1, so the join stays finite wherever a separate p+ - p- would.
-Beside the output only O(N1 + N2) vectors are allocated.
+Each transform runs inside its output buffer, where the planes are
+split, chirped, transformed in place and joined; beside it only
+O(N1 + N2) vectors are allocated.
 
 ``_fft2_raw`` here is the library's one FFT entry point.  It takes one
 exponent sign per axis and runs each axis on ``numpy.fft`` (pocketfft),
@@ -49,8 +32,11 @@ from .transform import (
     TWO_SIDED,
     TransformConfig,
     _check_dims,
+    _chirp_planes,
     _freq_chirp,
+    _join_planes,
     _pointwise_sandwich,
+    _split_planes,
     _time_chirp,
     make_config,
 )
@@ -127,33 +113,15 @@ def _fft2_raw(x: np.ndarray, sign1: int, sign2: int,
 def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> QSignal2D:
     """Chirp ``pre``, plain two-sided DFT of exponent ``sign``, chirp ``post``, scale.
 
-    ``pre`` and ``post`` are (axis-1 vector, axis-2 bookkeeping vector)
-    pairs.  Each plane lives in its half of the output, where it takes
-    one broadcast chirp, one in-place ``_fft2_raw`` call and one
-    broadcast chirp that carries ``scale`` and the 1/2 of the join.
+    ``pre`` and ``post`` are ``_chirp_planes`` (left, right) pairs; ``post``
+    also carries ``scale`` and the 1/2 of the join.  One ``_fft2_raw`` per plane.
     """
-    (left0, right0), (left1, right1) = pre, post
-    left0, left1 = left0[:, None], left1[:, None] * (0.5 * scale)
-    uv = comps.view(np.complex128)
-    u = uv[..., 0]
-    out = np.empty(uv.shape, dtype=np.complex128)
-    plus, minus = out[..., 0], out[..., 1]
-    np.multiply(uv[..., 1], 1j, out=minus)
-    np.subtract(u, minus, out=plus)
-    minus += u
-    for plane, flip, r0, r1 in ((plus, -1, np.conj(right0), np.conj(right1)),
-                                (minus, 1, right0, right1)):
-        plane *= left0
-        plane *= r0
+    planes = _split_planes(comps)
+    _chirp_planes(planes, *pre)
+    for plane, flip in ((planes[..., 0], -1), (planes[..., 1], 1)):
         _fft2_raw(plane, sign, flip * sign, out=plane)
-        plane *= left1
-        plane *= r1
-    # (u, v) = (p+ + p-, i*(p+ - p-)), with p+ - p- taken as (p+ + p-) - 2*p-
-    plus += minus
-    minus *= -2
-    minus += plus
-    minus *= 1j
-    return QSignal2D._adopt(out.view(np.float64))
+    _chirp_planes(planes, post[0] * (0.5 * scale), post[1])
+    return QSignal2D._adopt(_join_planes(planes))
 
 
 def dqft2_via_fft(psi: QSignal2D) -> QSignal2D:

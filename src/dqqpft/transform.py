@@ -246,17 +246,50 @@ def _freq_chirp(p: ParamSet, n: int, du: float, sign: int) -> np.ndarray:
     return np.exp(sign * 1j * _freq_phase(p, np.arange(n), du))
 
 
-def _pointwise_sandwich(comps, left, right):
-    """Per-sample product left * q * right on an (n1, n2, 4) component array.
+def _split_planes(comps: np.ndarray) -> np.ndarray:
+    """Orthogonal planes split (Hitzer & Sangwine, 2013) into a new array.
 
-    ``left`` is an i-complex vector over axis 1, ``right`` the complex
-    bookkeeping exp(i*theta) of a j-complex vector exp(j*theta) over
-    axis 2.  Returns a new component array.
+    Returns the (n1, n2, 2) complex planes p+ = u - i*v = (w + z) + i*(x - y)
+    in [..., 0] and p- = u + i*v = (w - z) + i*(x + y) in [..., 1].
     """
-    uv = left[:, None, None] * comps.view(np.complex128)
-    u, v = uv[..., 0], uv[..., 1]
-    c, s = right.real, right.imag
-    return np.stack([u * c - v * s, v * c + u * s], axis=-1).view(np.float64)
+    uv = comps.view(np.complex128)
+    planes = np.empty(uv.shape, dtype=np.complex128)
+    plus, minus = planes[..., 0], planes[..., 1]
+    np.multiply(uv[..., 1], 1j, out=minus)
+    np.subtract(uv[..., 0], minus, out=plus)
+    minus += uv[..., 0]
+    return planes
+
+
+def _chirp_planes(planes: np.ndarray, left, right) -> None:
+    """In place, exp(i*a) * q * exp(j*b) as exp(i*(a - b))*p+ and exp(i*(a + b))*p-.
+
+    ``left`` is exp(i*a) over axis 1 and ``right`` the bookkeeping exp(i*b)
+    of exp(j*b) over axis 2, each broadcast, never formed as an N1 x N2 grid.
+    """
+    planes *= left[:, None, None]
+    planes *= np.stack([np.conj(right), right], axis=-1)
+
+
+def _join_planes(planes: np.ndarray) -> np.ndarray:
+    """In place, (u, v) = (p+ + p-, i*(p+ - p-)) on planes that carry the 1/2.
+
+    p+ - p- is taken as (p+ + p-) - 2*p-: no temporary plane, and finite
+    wherever a separate p+ - p- is, as 2*p- is a plane without its 1/2.
+    """
+    plus, minus = planes[..., 0], planes[..., 1]
+    plus += minus
+    minus *= -2
+    minus += plus
+    minus *= 1j
+    return planes.view(np.float64)
+
+
+def _pointwise_sandwich(comps, left, right):
+    """left * q * right per sample, as for ``_chirp_planes``; a new component array."""
+    planes = _split_planes(comps)
+    _chirp_planes(planes, 0.5 * left, right)
+    return _join_planes(planes)
 
 
 def modulated_signal(f: QSignal2D, eps1: int, eps2: int) -> QSignal2D:

@@ -333,6 +333,20 @@ def test_overflowing_phase_is_usage_error_naming_the_axis(tmp_path, capsys, flag
         make_config(*pair, 3, 5, *dt)
 
 
+@pytest.mark.parametrize("dt", [["--dt", "-1,1"], ["--dt=-1,1"]])
+def test_negative_dt_is_read_as_a_value_and_refused_naming_it(tmp_path, capsys, dt):
+    # a separate value starting with '-' reaches the step check, as for --params
+    img = tmp_path / "img.ppm"
+    img.write_bytes(b"P6\n5 3\n255\n" + bytes(range(0, 225, 5)))
+    out = tmp_path / "bad.qcsv"
+    assert main(["forward", "--preset", "qft", *dt, "--in", str(img), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "dt1" in lines[0]
+    assert not out.exists()
+
+
 def test_qcsv_header_with_overflowing_phase_is_a_file_error(tmp_path, capsys):
     bad = tmp_path / "tiny_dt.qcsv"
     bad.write_text("2,2\n1e-310,1\n0,1,0,0,0:0,1,0,0,0\n" + "1,0,0,0\n" * 4)

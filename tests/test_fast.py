@@ -21,6 +21,7 @@ from dqqpft.transform import (
     forward_direct,
     inverse_direct,
     make_config,
+    modulated_signal,
 )
 from dqqpft.verify import _alt_dqft2, _mixed_axis_grid, _qft_oracle
 from oracles import naive_dft2, rand_params, rand_signal, traced_peak
@@ -280,6 +281,12 @@ def test_transform_works_inside_its_output_buffer(transform):
     f = rand_signal(rng, 256, 512)
     plan = make_plan(rand_cfg(rng, 256, 512))
     assert traced_peak(transform, f, plan) <= 1.10 * f.comps.nbytes
+
+
+def test_pointwise_product_works_inside_its_output_buffer():
+    # the identity helpers split, chirp and join in their output, as the fast path does
+    f = rand_signal(np.random.default_rng(19), 256, 512)
+    assert traced_peak(modulated_signal, f, 3, 5) <= 1.10 * f.comps.nbytes
 
 
 @pytest.mark.parametrize("transform", [forward_fast, inverse_fast])

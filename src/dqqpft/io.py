@@ -8,17 +8,24 @@ qcsv is a line-oriented text format.  After optional comment lines
     a1,b1,c1,d1,e1:a2,b2,c2,d2,e2
     w,x,y,z          (n1*n2 sample lines, row-major: x1 outer, x2 inner)
 
-Values are written with 17 significant digits so a write/read round
-trip reproduces every float64 bit-exactly.  The writer formats the samples
-in blocks of rows with one C-level ``%`` per block.  The reader parses the
-header line by line, then reads the body in blocks of lines straight from
-the open file, so a file, or a pipe, is never held as one string and the
-memory held is about one grid.  Each block goes to one ``numpy.loadtxt``
-call, kept only if it gives rows of four finite values and no more than
-the samples still due.  Any other block (comments or blank lines among the
-samples, malformed or non-finite values, extra samples) is parsed again
-line by line, and that loop alone raises the sample errors, naming the bad
-line.  A non-ASCII byte anywhere raises an error naming its line.
+Values are written as ``%.17g`` (17 significant digits), so a write/read
+round trip reproduces every float64 bit-exactly, and every line ends in
+one line feed.  The writer formats the samples in blocks of rows.  A
+value that ``%.17g`` prints without an exponent (1e-4 <= |v| < 1e17) goes
+through an exact integer kernel in numpy: Dekker's two-product gives
+|v|·10**j exactly, so its 17-digit rounding, half to even, is the one
+``%`` makes, and the text is laid out from a table of digit groups.  Every
+other value (zero, subnormals and the rest below 1e-4, and |v| >= 1e17)
+goes through ``%`` itself, so the bytes are those of per-value ``%.17g``.
+The reader parses the header line by line, then reads the body in blocks
+of lines straight from the open file, so a file, or a pipe, is never held
+as one string and the memory held is about one grid.  Each block goes to
+one ``numpy.loadtxt`` call, kept only if it gives rows of four finite
+values and no more than the samples still due.  Any other block (comments
+or blank lines among the samples, malformed or non-finite values, extra
+samples) is parsed again line by line, and that loop alone raises the
+sample errors, naming the bad line.  A non-ASCII byte anywhere raises an
+error naming its line.
 
 PPM support covers the 8-bit P3 (ASCII) and P6 (binary) flavours; a P3
 raster is tokenised in bulk with one regular expression.  The
@@ -51,9 +58,10 @@ __all__ = [
 
 MAPPINGS = ("pure", "luminance")
 
-_SAMPLE_FORMAT = "%.17g,%.17g,%.17g,%.17g\n"
-# sample lines per read or write block: bounds the text held at once
+# sample lines per read block: bounds the text held at once
 _BLOCK_ROWS = 1 << 12
+# sample lines per write block: the kernel's arrays (about 0.8 MB) stay in cache
+_WRITE_ROWS = 1 << 10
 # a PPM token, or a comment: '#' opens one only at the start of a token
 _PPM_TOKEN = re.compile(rb"#[^\r\n]*|[^ \t\r\n]+")
 
@@ -198,7 +206,131 @@ def read_qcsv(path) -> tuple[QSignal2D, TransformConfig]:
     return QSignal2D._adopt(comps.reshape(n1, n2, 4)), cfg
 
 
+# --- the exact %.17g kernel of the sample writer ---------------------------
+#
+# A value v with 1e-4 <= |v| < 1e17 prints under %.17g as its 17-digit
+# rounding D·10**(k-16), D in [1e16, 1e17), in fixed notation: k lies in
+# [-4, 16].  With j = 16 - k in [0, 20], 10**j = 2**j·5**j is an exact
+# double (5**j < 2**47), so Dekker's two-product (Veltkamp split, no FMA)
+# gives |v|·10**j exactly as p + e.  In the window p >= 1e16 > 2**53 is an
+# even integer, so p + rint(e) is D rounded half to even.  No double in the
+# window rounds up to 1e17: the largest one below each power of ten has
+# p + e at least 8 below it (asserted in the tests).
+# (T. J. Dekker, "A floating-point technique for extending the available
+# precision", Numer. Math. 18, 1971.)
+_POW10 = np.array([float(10**j) for j in range(21)])
+_VELTKAMP = 2.0 ** 27 + 1
+
+
+def _veltkamp(x):
+    """x split exactly into a high and a low part of at most 26 bits each."""
+    t = _VELTKAMP * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+def _times_pow10(a, j):
+    """(p, e) with p + e == a·10**j exactly, p the rounded product."""
+    p = a * _POW10[j]
+    a_hi, a_lo = _veltkamp(a)
+    y_hi, y_lo = _POW10_HI[j], _POW10_LO[j]
+    e = ((a_hi * y_hi - p) + a_hi * y_lo + a_lo * y_hi) + a_lo * y_lo
+    return p, e
+
+
+def _digits17(a):
+    """(D, k) with D·10**(k-16) the 17-digit rounding of each ``a`` in [1e-4, 1e17)."""
+    k = np.floor(np.log10(a)).astype(np.int64)
+    j = np.clip(16 - k, 0, 20)
+    p, e = _times_pow10(a, j)
+    # log10 can miss k by one next to a power of ten: the exact p + e says which way
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        j[fix] += low[fix].astype(np.int64) - high[fix]
+        p[fix], e[fix] = _times_pow10(a[fix], j[fix])
+    return p.astype(np.int64) + np.rint(e).astype(np.int64), 16 - j
+
+
+# A value's text is laid out in a row of 40 bytes, five little-endian 64-bit
+# words, and the NUL bytes are deleted afterwards.  Byte 0 holds the sign,
+# bytes 1-5 "0." and the leading zeros when k < 0, byte 6 + 2i digit i, and
+# byte 7 + 2i the point if it follows digit i.  Byte 39, after digit 16,
+# holds the separator.
+_WORD = np.dtype("<u8")
+_ROW = 40
+
+
+def _row_words(rows: np.ndarray) -> np.ndarray:
+    """``(m, 40)`` row bytes as their words, ``(5, m)``."""
+    return rows.view(_WORD).T.copy()
+
+
+_DIGITS = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+           % 10).astype(np.uint8)
+# each group of four digits 0000-9999 as the bytes of one word of digits 1-16
+_group_bytes = np.zeros((10000, 8), np.uint8)
+_group_bytes[:, ::2] = _DIGITS + ord("0")
+_GROUP_WORDS = _group_bytes.view(_WORD).ravel()
+# trailing zero digits of each group, 4 for 0000
+_GROUP_ZEROS = (_DIGITS[:, ::-1] == 0).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+# by the count s of trailing digits %g drops: the mask that keeps the rest
+_keep = np.full((17, _ROW), 0xFF, np.uint8)
+_keep[:, 6:39:2] = np.where(np.arange(17) >= 17 - np.arange(17)[:, None], 0, 0xFF)
+_KEEP = _row_words(_keep)
+# by the digit (0-15) the point follows, 16 for none: the point alone
+_point = np.zeros((17, _ROW), np.uint8)
+_point[np.arange(16), 7 + 2 * np.arange(16)] = ord(".")
+_POINT = _row_words(_point)
+# by (k + 4)·2 + negative: the sign and, when k < 0, "0." and the leading zeros
+_prefix = np.zeros((21, 2, _ROW), np.uint8)
+_prefix[:, 1, 0] = ord("-")
+for _k in range(-4, 0):
+    _prefix[_k + 4, :, 1:2 - _k] = np.frombuffer(b"0.000"[:1 - _k], np.uint8)
+_PREFIX = _row_words(_prefix.reshape(42, _ROW))[0]
+_SEPARATORS = np.array([ord(",") << 56] * 3 + [ord("\n") << 56], dtype=_WORD)
+# room for the longest %.17g text, "-2.2250738585072014e-308", and more
+_FALLBACK_WIDTH = 39
+
+
+def _format_samples(block: np.ndarray) -> bytes:
+    """The sample lines of a ``(rows, 4)`` block, each value exactly as ``%.17g``."""
+    v = block.ravel()
+    a = np.abs(v)
+    window = (a >= 1e-4) & (a < 1e17)
+    d, k = _digits17(np.where(window, a, 1.0))
+    lead = d // 10**16
+    rest = d - lead * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    groups = (upper // 10**4, upper % 10**4, lower // 10**4, lower % 10**4)
+    # %g drops the fraction's trailing zeros, and the point when none is left
+    zeros = _GROUP_ZEROS[groups[0]]
+    for g in groups[1:]:
+        zeros = np.where(g == 0, zeros + 4, _GROUP_ZEROS[g])
+    strip = np.minimum(zeros, 16 - k)
+    after = np.where((k >= 0) & (strip < 16 - k), k, 16)
+    words = np.empty((v.size, 5), _WORD)
+    words[:, 0] = (_PREFIX[2 * (k + 4) + np.signbit(v)] | (lead.astype(_WORD) + ord("0")) << 48
+                   | _POINT[0][after])
+    for i, g in enumerate(groups, start=1):
+        words[:, i] = _GROUP_WORDS[g] & _KEEP[i][strip] | _POINT[i][after]
+    words.reshape(-1, 4, 5)[:, :, 4] |= _SEPARATORS
+    others = np.flatnonzero(~window)
+    if others.size:
+        # the same %.17g, right-aligned: the spaces are deleted with the NULs
+        text = f"%{_FALLBACK_WIDTH}.17g" * others.size % tuple(v[others].tolist())
+        words.view(np.uint8)[others, :_FALLBACK_WIDTH] = \
+            np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _FALLBACK_WIDTH)
+    return words.tobytes().translate(None, b"\0 ")
+
+
 def write_qcsv(path, signal: QSignal2D, cfg: TransformConfig) -> None:
+    """Save a quaternion grid and the transform config stored with it."""
     g = cfg.grid
     if (signal.n1, signal.n2) != (g.n1, g.n2):
         raise ValueError(f"signal shape {signal.shape} does not match grid {(g.n1, g.n2)}")
@@ -209,12 +341,12 @@ def write_qcsv(path, signal: QSignal2D, cfg: TransformConfig) -> None:
         format_param_pair(cfg.p1, cfg.p2),
     ]
     flat = signal.comps.reshape(-1, 4)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(header) + "\n")
+    # binary: every line ends in "\n" on every platform
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
         # bounded blocks: the file is never held as one string
-        for start in range(0, len(flat), _BLOCK_ROWS):
-            block = flat[start:start + _BLOCK_ROWS]
-            fh.write(_SAMPLE_FORMAT * len(block) % tuple(block.ravel().tolist()))
+        for start in range(0, len(flat), _WRITE_ROWS):
+            fh.write(_format_samples(flat[start:start + _WRITE_ROWS]))
 
 
 def _check_mapping(mapping: str):

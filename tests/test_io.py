@@ -1,12 +1,16 @@
 import os
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqqpft.io import (
     PpmError,
     QcsvError,
+    _format_samples,
     _loadtxt_body,
     _loop_body,
     read_image_ppm,
@@ -112,11 +116,21 @@ def wide_range_comps(rng, n1, n2):
     return rng.standard_normal((n1, n2, 4)) * 10.0 ** rng.integers(-300, 300, size=(n1, n2, 4))
 
 
-@pytest.mark.parametrize("n1, n2", [(257, 3), (257, 257)])  # 257**2 rows span 17 write blocks
-def test_write_qcsv_matches_per_value_formatting(tmp_path, n1, n2):
+def window_comps(rng, n1, n2):
+    """Samples of magnitude 1e-4 to 1e17, most of them printed without an exponent."""
+    return rng.uniform(-1.0, 1.0, (n1, n2, 4)) * 10.0 ** rng.integers(-3, 18, size=(n1, n2, 4))
+
+
+# 257**2 rows span 65 write blocks
+@pytest.mark.parametrize("n1, n2, comps_of", [
+    pytest.param(257, 3, wide_range_comps, id="257-3"),
+    pytest.param(257, 257, wide_range_comps, id="257-257"),
+    pytest.param(257, 257, window_comps, id="257-257-window"),
+])
+def test_write_qcsv_matches_per_value_formatting(tmp_path, n1, n2, comps_of):
     rng = np.random.default_rng(10)
     cfg = rand_cfg(rng, n1, n2)
-    comps = wide_range_comps(rng, n1, n2)
+    comps = comps_of(rng, n1, n2)
     comps.flat[:6] = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
     path = tmp_path / "sig.qcsv"
     write_qcsv(path, QSignal2D(comps), cfg)
@@ -129,6 +143,83 @@ def test_write_qcsv_matches_per_value_formatting(tmp_path, n1, n2):
     ]
     rows.extend(",".join(f"{v:.17g}" for v in sample) for sample in comps.reshape(-1, 4))
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+
+
+def per_value_lines(block) -> bytes:
+    """Sample lines of a ``(rows, 4)`` block by per-value ``%.17g``, the format's definition."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in block.tolist()).encode("ascii")
+
+
+def both_signs_in_rows(values):
+    """``values`` and their negations as rows of four, the last row padded with zeros."""
+    flat = np.concatenate([values, -np.asarray(values)])
+    return np.concatenate([flat, np.zeros(-len(flat) % 4)]).reshape(-1, 4)
+
+
+# the bit patterns of the values %.17g prints without an exponent, |v| in [1e-4, 1e17)
+WINDOW_BITS = (int(np.float64(1e-4).view(np.int64)), int(np.float64(1e17).view(np.int64)) - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(*WINDOW_BITS), st.booleans()), min_size=1, max_size=64))
+def test_sample_kernel_matches_per_value_formatting_in_the_window(draws):
+    bits = np.array([b for b, _ in draws], dtype=np.int64)
+    values = np.where([neg for _, neg in draws], -1.0, 1.0) * bits.view(np.float64)
+    block = np.concatenate([values, np.ones(-len(values) % 4)]).reshape(-1, 4)
+    assert _format_samples(block) == per_value_lines(block)
+
+
+def decade_neighbours():
+    """The doubles within 50 ulps of each power of ten from 1e-5 to 1e17."""
+    bits = np.array([np.float64(f"1e{e}").view(np.int64) for e in range(-5, 18)])
+    return (bits[:, None] + np.arange(-50, 51)).ravel().view(np.float64)
+
+
+def largest_below_powers_of_ten():
+    """The largest double below each power of ten from 1e-3 to 1e17: the closest
+    any value of a window decade comes to rounding up to the next one."""
+    tops = []
+    for e in range(-3, 18):
+        power = Fraction(10) ** e
+        top = float(power)
+        if Fraction(top) >= power:
+            top = float(np.nextafter(top, 0.0))
+        tops.append(top)
+    return np.array(tops)
+
+
+def rounding_ties():
+    """Values whose 17-digit rounding is an exact tie: q/2**(j+1) with q odd,
+    in the decade k = 16 - j, so that |v|·10**j = q·5**j/2."""
+    rng = np.random.default_rng(15)
+    ties = []
+    for j in range(1, 21):
+        lo = -(-2 ** (j + 1) * Fraction(10) ** (16 - j) // 1)
+        hi = min(2**53, 2 ** (j + 1) * Fraction(10) ** (17 - j) // 1)
+        q = 2 * rng.integers(lo // 2, hi // 2, size=200) + 1
+        ties.append(q / 2.0 ** (j + 1))
+        scaled = [Fraction(v) * Fraction(10) ** j for v in ties[-1]]
+        assert all(10**16 <= x < 10**17 and x.denominator == 2 for x in scaled)
+    return np.concatenate(ties)
+
+
+def format_edges():
+    """Zero, the smallest subnormal and the largest double: the per-value fallback."""
+    return np.array([0.0, 5e-324, 1.7976931348623157e308])
+
+
+@pytest.mark.parametrize("corpus", [decade_neighbours, largest_below_powers_of_ten,
+                                    rounding_ties, format_edges])
+def test_sample_kernel_matches_per_value_formatting_on_edge_cases(corpus):
+    block = both_signs_in_rows(corpus())
+    assert _format_samples(block) == per_value_lines(block)
+
+
+def test_no_window_value_rounds_up_to_the_next_power_of_ten():
+    # the kernel's 17-digit integer never carries into an 18th digit
+    for e, top in zip(range(-3, 18), largest_below_powers_of_ten()):
+        scaled = Fraction(top) * Fraction(10) ** (17 - e)  # 17 digits in the decade below 10**e
+        assert 10**16 <= scaled <= 10**17 - 8
 
 
 def test_qcsv_roundtrip_is_bit_exact_at_96x250(tmp_path):
@@ -189,9 +280,9 @@ def test_qcsv_non_ascii_byte_names_its_line(tmp_path, text, line):
     assert err.value.line == line
 
 
-def signal_256x512():
+def signal_256x512(comps_of=wide_range_comps):
     rng = np.random.default_rng(13)
-    return QSignal2D(wide_range_comps(rng, 256, 512)), rand_cfg(rng, 256, 512)
+    return QSignal2D(comps_of(rng, 256, 512)), rand_cfg(rng, 256, 512)
 
 
 def test_read_qcsv_memory_is_about_one_grid(tmp_path):
@@ -204,8 +295,9 @@ def test_read_qcsv_memory_is_about_one_grid(tmp_path):
 
 
 def test_write_qcsv_memory_is_below_one_grid(tmp_path):
-    sig, cfg = signal_256x512()
-    assert traced_peak(write_qcsv, tmp_path / "sig.qcsv", sig, cfg) <= sig.comps.nbytes
+    for comps_of in (wide_range_comps, window_comps):
+        sig, cfg = signal_256x512(comps_of)
+        assert traced_peak(write_qcsv, tmp_path / "sig.qcsv", sig, cfg) <= sig.comps.nbytes
 
 
 def test_qcsv_huge_header_reserves_no_memory(tmp_path):

@@ -18,14 +18,31 @@ through an exact integer kernel in numpy: Dekker's two-product gives
 other value (zero, subnormals and the rest below 1e-4, and |v| >= 1e17)
 goes through ``%`` itself, so the bytes are those of per-value ``%.17g``.
 The reader parses the header line by line, then reads the body in blocks
-of lines straight from the open file, so a file, or a pipe, is never held
-as one string and the memory held is about one grid.  Each block goes to
-one ``numpy.loadtxt`` call, kept only if it gives rows of four finite
-values and no more than the samples still due.  Any other block (comments
-or blank lines among the samples, malformed or non-finite values, extra
-samples) is parsed again line by line, and that loop alone raises the
-sample errors, naming the bad line.  A non-ASCII byte anywhere raises an
-error naming its line.
+of 4096 lines straight from the open file, so a file, or a pipe, is never
+held as one string and the memory held is about one grid.  Each block goes
+through three tiers, and the first that takes it gives its samples:
+
+1. An exact decimal kernel in numpy takes a block of plain sample lines:
+   four comma-separated fields ``-?D*[.D*]`` per line, each at most 23
+   bytes and 18 digit positions, with no exponent.  It reads eight digits
+   per 64-bit word into an integer D and divides it by 10**f, for f digits
+   after the point.  Below 2**53 that one IEEE division is correctly
+   rounded.  Above, the quotient q is corrected by the remainder
+   D - q·10**f, found exactly with the writer's two-product, so the
+   corrected value lies within 2**-49 ulp of D/10**f; a block holding a
+   value within 2**-30 ulp of a half-way point is refused.  Every value
+   taken is thus the correctly rounded one, the one ``float`` gives.  The
+   writer's 17 digits in its window lie at least 1/21 ulp from a half-way
+   point, so the kernel takes every block of them.
+2. One ``numpy.loadtxt`` call, kept only if it gives rows of four finite
+   values.
+3. A loop over the lines, which alone raises the sample errors, naming the
+   bad line.
+
+So a block holding an exponent form (the writer's values outside its
+window, zero apart) falls to ``loadtxt``, and comments or blank lines among
+the samples, malformed or non-finite values and extra samples fall to the
+loop.  A non-ASCII byte anywhere raises an error naming its line.
 
 PPM support covers the 8-bit P3 (ASCII) and P6 (binary) flavours; a P3
 raster is tokenised in bulk with one regular expression.  The
@@ -142,13 +159,19 @@ def _read_body(fh, lineno: int, count: int) -> np.ndarray:
     """The ``count`` samples after header line ``lineno``, read in blocks of lines.
 
     Rows are kept only as the file yields them: an untrusted header never
-    reserves memory, and the file is never held whole.
+    reserves memory, and the file is never held whole.  A block goes to the
+    decimal kernel, then to ``numpy.loadtxt``, then to the line loop; a tier
+    that gives more than the samples still due leaves the block to the loop,
+    which names the first extra line.
     """
     parts = []
     seen = 0
     tail = (lineno + 1, [])  # the last block that held samples, and its first line
     while block := list(islice(fh, _BLOCK_ROWS)):
-        part = _loadtxt_body(block, count - seen)
+        text = "".join(block)
+        part = _parse_samples(text.encode("ascii")) if text.isascii() else None
+        if part is None or len(part) > count - seen:
+            part = _loadtxt_body(block, count - seen)
         if part is None:
             part = _loop_body(_payload_lines(block, lineno + 1), seen, count)
         if len(part):
@@ -217,8 +240,9 @@ def read_qcsv(path) -> tuple[QSignal2D, TransformConfig]:
 # window rounds up to 1e17: the largest one below each power of ten has
 # p + e at least 8 below it (asserted in the tests).
 # (T. J. Dekker, "A floating-point technique for extending the available
-# precision", Numer. Math. 18, 1971.)
-_POW10 = np.array([float(10**j) for j in range(21)])
+# precision", Numer. Math. 18, 1971.)  The table runs on to 10**22, the
+# last exact power of ten, for the reader's kernel below.
+_POW10 = np.array([float(10**j) for j in range(23)])
 _VELTKAMP = 2.0 ** 27 + 1
 
 
@@ -347,6 +371,111 @@ def write_qcsv(path, signal: QSignal2D, cfg: TransformConfig) -> None:
         # bounded blocks: the file is never held as one string
         for start in range(0, len(flat), _WRITE_ROWS):
             fh.write(_format_samples(flat[start:start + _WRITE_ROWS]))
+
+
+# --- the exact decimal kernel of the sample reader -------------------------
+#
+# A field -?D*[.D*] of at most 23 bytes is read as the three little-endian
+# words of the 24 bytes that end at its separator.  XOR with ASCII '0' and
+# a mask of the digit positions leave one digit in each byte, with the
+# sign, the point and the bytes of earlier fields set to zero, and eight
+# digits per word are combined by multiply-shift (D. Lemire, "Number
+# parsing at a gigabyte per second", Softw. Pract. Exper. 51, 2021).  The
+# words give Dw = hi·10**16 + mid·10**8 + lo, refused from 10**18 on,
+# whose zero digit in the point's slot D = Dw - 9·(Dw // 10**(f+1))·10**f
+# takes out, for f digits after the point.  The value is D/10**f, and
+# 10**f is exact:
+# - D < 2**53 is an exact double, so one IEEE division rounds correctly.
+# - Otherwise q = fl(fl(D)/10**f) is within 2 ulps of D/10**f.
+#   _times_pow10 gives q·10**f exactly as p + e, so the correction
+#   (D - p - e)/10**f is found to a relative 2**-52, and q plus it lies
+#   within 2**-49 ulp of D/10**f.  When q plus the correction, moved by
+#   2**-83·q (2**-31 to 2**-30 ulp) either way, rounds to one double, no
+#   half-way point lies between, and that double is D/10**f correctly
+#   rounded.  Otherwise the block is refused.
+# The sign goes on last, so "-0" keeps its sign bit.
+_FIELD = 24
+# by (digit positions n, point code c): the digit bytes of a field's 24.
+# n counts the digits and the point; c is f + 1, or 0 for no point.
+_digit_bytes = np.zeros((_FIELD, _FIELD, _FIELD), np.uint8)
+for _n in range(_FIELD):
+    _digit_bytes[_n, :, _FIELD - _n:] = 0xFF
+_digit_bytes[:, np.arange(1, _FIELD), _FIELD - np.arange(1, _FIELD)] = 0
+_DIGIT_MASKS = _digit_bytes.view(_WORD).reshape(-1, 3)
+# by point code c: 10**c, capped at 10**18 > Dw, and 10**18 for no point,
+# so that Dw // _SLOT[c] is zero where there is no slot to take out
+_SLOT = 10 ** np.minimum(np.r_[18, 1:_FIELD], 18)
+_LINE_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
+
+
+def _parse_samples(chunk: bytes) -> np.ndarray | None:
+    """The ``(rows, 4)`` samples of a block of sample lines, or None.
+
+    Each value is the one ``float`` gives.  A block is taken only when every
+    line is four comma-separated fields ending in "\\n", and every field
+    is ``-?D*[.D*]`` with a digit, at most 23 bytes, and at most 18 digit
+    positions, the point's included, from its first nonzero digit on.
+    Anything else, an exponent form included, and a value too close to a
+    tie to certify, is None: the reader's other tiers decide.
+    """
+    # an exponent would fail the digit check: refuse it before the work
+    if not chunk.endswith(b"\n") or b"e" in chunk or b"E" in chunk:
+        return None
+    buf = np.frombuffer(chunk, np.uint8)
+    # the bytes below '/': '-', '.' and separators, where every byte below
+    # '-' must be one
+    marks = np.flatnonzero(buf < ord("/"))
+    kind = buf[marks]
+    is_end = kind < ord("-")
+    ends = marks.compress(is_end)
+    if ends.size % 4 or not (kind.compress(is_end).reshape(-1, 4) == _LINE_SEPARATORS).all():
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    negative = buf[starts] == ord("-")
+    is_point = kind == ord(".")
+    points = marks.compress(is_point)
+    owner = np.cumsum(is_end, dtype=np.int32).compress(is_point)  # the field of each point
+    # a field's second point stays among its digits and fails the digit check
+    code = np.zeros(ends.size, np.int64)
+    code[owner] = ends[owner] - points
+    length = ends - starts
+    n = length - negative
+    if ((length > _FIELD - 1) | (n <= (code > 0))).any():
+        return None
+    padded = np.frombuffer(bytes(_FIELD) + chunk, np.uint8)
+    # overlapping: window i is padded[i:i + 24], the 24 bytes of the chunk
+    # before offset i
+    windows = np.ndarray(padded.size - _FIELD + 1, f"V{_FIELD}", padded, strides=(1,))
+    w = windows[ends].view(_WORD).reshape(-1, 3)
+    w ^= 0x3030303030303030
+    w &= _DIGIT_MASKS.take(n * _FIELD + code, axis=0)
+    if w.view(np.uint8).max() > 9:
+        return None
+    # eight digits per word, the first in the low byte: into pairs, then
+    # the pairs into the number
+    w = w * 10 + (w >> 8)
+    w = ((w & 0xFF000000FF) * (100 + (1000000 << 32))
+         + (w >> 16 & 0xFF000000FF) * (1 + (10000 << 32))) >> 32
+    if (w[:, 0] >= 100).any():
+        return None
+    dw = (w[:, 0] * 10**16 + w[:, 1] * 10**8 + w[:, 2]).astype(np.int64)
+    slot = _SLOT[code]
+    d = dw - 9 * (dw // slot) * (slot // 10)
+    f = np.maximum(code - 1, 0)
+    x = d / _POW10[f]
+    big = np.flatnonzero(d >= 2**53)
+    if big.size:
+        q, j = x[big], f[big]
+        p, e = _times_pow10(q, j)
+        fix = ((d[big] - p.astype(np.int64)).astype(np.float64) - e) / _POW10[j]
+        margin = q * 2.0**-83  # 2**-31 to 2**-30 ulp of q
+        r = q + (fix - margin)
+        if (r != q + (fix + margin)).any():
+            return None
+        x[big] = r
+    sign = x.view(np.uint64)
+    sign |= negative.astype(np.uint64) << 63
+    return x.reshape(-1, 4)
 
 
 def _check_mapping(mapping: str):

@@ -1,6 +1,8 @@
 import os
 import threading
+from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dqqpft.io import (
     _format_samples,
     _loadtxt_body,
     _loop_body,
+    _parse_samples,
     read_image_ppm,
     read_qcsv,
     write_image_ppm,
@@ -235,6 +238,114 @@ def test_qcsv_roundtrip_is_bit_exact_at_96x250(tmp_path):
     fast = _loadtxt_body(body, 96 * 250)
     assert fast is not None
     np.testing.assert_array_equal(fast, _loop_body(enumerate(body, start=5), 0, 96 * 250))
+    # every read block of this body holds exponents, and the decimal kernel
+    # refuses it; the body's exponent-free values, four to a line, are a
+    # block it takes, to the values the loop gives
+    for start in range(0, len(body), 4096):
+        block = body[start:start + 4096]
+        assert any("e" in line for line in block)
+        assert _parse_samples("".join(line + "\n" for line in block).encode("ascii")) is None
+    plain = [v for line in body for v in line.split(",") if "e" not in v]
+    plain = plain[:len(plain) // 4 * 4]
+    assert len(plain) >= 400
+    plain_lines = [",".join(plain[i:i + 4]) for i in range(0, len(plain), 4)]
+    kernel = _parse_samples("".join(line + "\n" for line in plain_lines).encode("ascii"))
+    assert kernel is not None
+    expected = _loop_body(enumerate(plain_lines), 0, len(plain_lines))
+    np.testing.assert_array_equal(kernel.view(np.int64), expected.view(np.int64))
+
+
+def assert_kernel_exact_or_refused(texts):
+    """The kernel on one line per text, ``text,1,-1,0``: each line's value
+    equals ``float(text)`` bit for bit, or the line is refused.  Returns
+    the texts taken."""
+    taken = []
+    for text in texts:
+        values = _parse_samples(f"{text},1,-1,0\n".encode("ascii"))
+        if values is not None:
+            expected = np.array([float(text), 1.0, -1.0, 0.0])
+            np.testing.assert_array_equal(values.ravel().view(np.int64), expected.view(np.int64))
+            taken.append(text)
+    return taken
+
+
+def fixed_notation(text):
+    """A decimal numeral without its exponent: "1.5e-05" as "0.000015"."""
+    return format(Decimal(text), "f")
+
+
+# the bit patterns of 1e-7 to 1e20: more digits than the kernel takes at both ends
+PRINTED_BITS = (int(np.float64(1e-7).view(np.int64)), int(np.float64(1e20).view(np.int64)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(*PRINTED_BITS), st.integers(1, 17), st.booleans()),
+                min_size=1, max_size=32))
+def test_decimal_kernel_is_exact_or_refuses(draws):
+    texts = []
+    for bits, digits, negative in draws:
+        v = float(np.int64(bits).view(np.float64))
+        texts.append(fixed_notation(f"%.{digits}g" % (-v if negative else v)))
+    texts += ["0"] * (-len(texts) % 4)
+    lines = [",".join(texts[i:i + 4]) for i in range(0, len(texts), 4)]
+    values = _parse_samples("".join(line + "\n" for line in lines).encode("ascii"))
+    if values is not None:
+        expected = np.array([[float(v) for v in line.split(",")] for line in lines])
+        np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
+
+
+def near_half_way_points(digits):
+    """Decimals of ``digits`` significant digits within 1e-17 (relative) of
+    the point half way between two doubles, from 1e-3 to 1e17, and the
+    exact half-way points among them."""
+    rng = np.random.default_rng(16)
+    texts, ties = [], []
+    for x in rng.uniform(1.0, 10.0, 400) * 10.0 ** rng.integers(-3, 17, 400):
+        mid = (Fraction(float(x)) + Fraction(float(np.nextafter(x, np.inf)))) / 2
+        exp = len(str(int(mid))) - digits if mid >= 1 else -digits - len(str(int(1 / mid)))
+        near = round(mid / Fraction(10) ** exp)
+        if abs(near * Fraction(10) ** exp - mid) <= mid * Fraction(1, 10**17):
+            texts.append(format(Decimal(near).scaleb(exp), "f"))
+            if near * Fraction(10) ** exp == mid:
+                ties.append(texts[-1])
+    return texts, ties
+
+
+DECIMAL_HARD_CASES = [
+    # exact half-way points between two doubles
+    "9007199254740993", "9007199254740993.0", "18014398509481986", "-18014398509481986",
+    # point, sign and zero forms
+    "5.", ".5", "-.5", "0", "-0", "-0.0", "00.000", "-000012.50",
+    # 19 and 20 digits
+    "1234567890123456789", "-9999999999999999999", "12345678901234567890",
+    "0.1234567890123456789", "123456789.0123456789",
+    # 22 to 24 bytes, most of them leading zeros
+    "0.00012345678901234567", "-0.00012345678901234567", "-0.000123456789012345678",
+    "-0.000000000000000000001", ".0000000000000000000001", "-1234567890.1234567890",
+]
+NOT_NUMERALS = [".", "-", "--1", "1.2.3", "-.", "", "+1", "1-", " 1", "1e5", "0x10", "1_0"]
+
+
+def test_decimal_kernel_hard_cases():
+    taken = assert_kernel_exact_or_refused(DECIMAL_HARD_CASES)
+    assert {"5.", ".5", "-.5", "0", "-0", "-0.0", "-0.00012345678901234567"} <= set(taken)
+    assert not {"9007199254740993", "9007199254740993.0", "18014398509481986"} & set(taken)
+    # at 17 digits only the exact half-way points are refused; at 18 a point
+    # inside the numeral makes it 19 positions, refused too
+    near, ties = near_half_way_points(17)
+    assert len(ties) > 5 and len(near) > len(ties) + 50
+    assert assert_kernel_exact_or_refused(near) == [t for t in near if t not in ties]
+    assert_kernel_exact_or_refused(near_half_way_points(18)[0])
+    for text in NOT_NUMERALS:
+        assert _parse_samples(f"{text},1,-1,0\n".encode("ascii")) is None, text
+
+
+def test_decimal_kernel_takes_only_whole_sample_lines():
+    for chunk in [b"1,2,3,4", b"1,2,3\n", b"1,2,3,4,5\n", b"1,2,3,4\r\n", b"1,2,3,4\n\n",
+                  b"1,2,3,4\n# c\n", b"1,,3,4\n", b"1,2;3,4\n", b"1,2,3,4 \n"]:
+        assert _parse_samples(chunk) is None, chunk
+    np.testing.assert_array_equal(_parse_samples(b"1,2,3,4\n-5,6.5,.25,0\n"),
+                                  [[1, 2, 3, 4], [-5, 6.5, 0.25, 0]])
 
 
 HEADER_2X2 = "2,2\n1,1\n0,1,0,0,0:0,1,0,0,0\n"  # samples start on line 4
@@ -250,6 +361,36 @@ def test_qcsv_bodies_outside_loadtxt_are_accepted(tmp_path, body):
     path.write_bytes((HEADER_2X2 + body).encode("ascii"))
     sig, _ = read_qcsv(path)
     np.testing.assert_array_equal(sig.w, [[10.0, 2.0], [3.0, 4.0]])
+
+
+def test_qcsv_cr_only_body_is_read_with_its_line_numbers(tmp_path):
+    # text mode reads a lone "\r" as a line end, as loadtxt and the loop see it
+    path = tmp_path / "cr.qcsv"
+    path.write_bytes(b"2,2\r1,1\r0,1,0,0,0:0,1,0,0,0\r10,0,0,0\r2,0,0,0\r3,0,0,0\r4,-0,.5,0\r")
+    sig, _ = read_qcsv(path)
+    np.testing.assert_array_equal(sig.w, [[10.0, 2.0], [3.0, 4.0]])
+    assert np.signbit(sig.x[1, 1]) and sig.y[1, 1] == 0.5
+    path.write_bytes((HEADER_2X2 + "10,0,0,0\r2,0,0,0\r3,x,0,0\r4,0,0,0\r").encode("ascii"))
+    with pytest.raises(QcsvError, match="is not a number") as err:
+        read_qcsv(path)
+    assert err.value.line == 6
+
+
+def test_qcsv_block_with_one_exponent_is_read_as_loadtxt_reads_it(tmp_path):
+    rng = np.random.default_rng(17)
+    values = np.round(rng.uniform(-100.0, 100.0, (64 * 64, 4)), 6)
+    lines = [",".join(repr(v) for v in row) for row in values.tolist()]
+    lines[1000] = "1.5e-05,-2.5E+3,0,1"  # one block of 4096 lines holds exponents
+    path = tmp_path / "exp.qcsv"
+    path.write_text("64,64\n1,1\n0,1,0,0,0:0,1,0,0,0\n" + "".join(line + "\n" for line in lines))
+    with open(path) as fh:
+        block = list(islice(fh, 3, None))
+    assert len(block) == 4096 and _parse_samples("".join(block).encode("ascii")) is None
+    expected = _loadtxt_body(block, 4096)
+    assert expected is not None
+    np.testing.assert_array_equal(expected[1000], [1.5e-05, -2500.0, 0.0, 1.0])
+    sig, _ = read_qcsv(path)
+    np.testing.assert_array_equal(sig.comps.reshape(-1, 4).view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("body, line, message", [
@@ -278,6 +419,21 @@ def test_qcsv_non_ascii_byte_names_its_line(tmp_path, text, line):
     with pytest.raises(QcsvError, match="non-ASCII byte 0xc") as err:
         read_qcsv(path)
     assert err.value.line == line
+
+
+def test_qcsv_roundtrip_keeps_the_bits_of_values_formatted_by_percent(tmp_path):
+    # zero, subnormals and |v| >= 1e17 are written by % ("-0", "5e-324",
+    # "1e+17"); their neighbours in the window by the writer's kernel
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+             -2.225073858507201e-308, 9.9999999999999e-05, 1e-4, -1e-4, 99999999999999984.0,
+             1e17, -1e17, 1.2345678901234567e17, 1.7976931348623157e308,
+             -1.7976931348623157e308, 0.1, -1 / 3, 2.0**53 + 2, -(2.0**60)]
+    comps = np.array(edges).reshape(5, 1, 4)
+    path = tmp_path / "edges.qcsv"
+    write_qcsv(path, QSignal2D(comps), make_config(*preset_qft(), 5, 1))
+    back, _ = read_qcsv(path)
+    np.testing.assert_array_equal(back.comps.view(np.int64), comps.view(np.int64))
+    np.testing.assert_array_equal(np.signbit(back.comps), np.signbit(comps))
 
 
 def signal_256x512(comps_of=wide_range_comps):

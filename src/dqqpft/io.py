@@ -61,7 +61,7 @@ import numpy as np
 
 from .params import ParameterError, _parse_floats, format_param_pair, parse_param_pair
 from .signal import QSignal2D
-from .transform import TransformConfig, make_config
+from .transform import TransformConfig, _check_dims, make_config
 
 __all__ = [
     "QcsvError",
@@ -355,9 +355,8 @@ def _format_samples(block: np.ndarray) -> bytes:
 
 def write_qcsv(path, signal: QSignal2D, cfg: TransformConfig) -> None:
     """Save a quaternion grid and the transform config stored with it."""
+    _check_dims(signal, cfg)
     g = cfg.grid
-    if (signal.n1, signal.n2) != (g.n1, g.n2):
-        raise ValueError(f"signal shape {signal.shape} does not match grid {(g.n1, g.n2)}")
     header = [
         "# dqqpft qcsv: n1,n2 / dt1,dt2 / params / w,x,y,z samples",
         f"{g.n1},{g.n2}",

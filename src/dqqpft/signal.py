@@ -125,24 +125,26 @@ class QSignal2D:
         return Quaternion.from_array(self._comps[xi1, xi2])
 
     def conjugate(self) -> "QSignal2D":
-        return QSignal2D(qconj(self._comps))
+        return QSignal2D._adopt(qconj(self._comps))
 
     def energy(self) -> float:
         """Sum of squared quaternion norms over the grid."""
         return float(np.sum(qnorm_sq(self._comps)))
 
     def __add__(self, other: "QSignal2D") -> "QSignal2D":
-        return QSignal2D(self._comps + other._comps)
+        _check_shapes(self, other)
+        return QSignal2D._adopt(self._comps + other._comps)
 
     def __sub__(self, other: "QSignal2D") -> "QSignal2D":
-        return QSignal2D(self._comps - other._comps)
+        _check_shapes(self, other)
+        return QSignal2D._adopt(self._comps - other._comps)
 
     def __neg__(self) -> "QSignal2D":
-        return QSignal2D(-self._comps)
+        return QSignal2D._adopt(-self._comps)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float)):
-            return QSignal2D(self._comps * scalar)
+            return QSignal2D._adopt(self._comps * scalar)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -151,10 +153,15 @@ class QSignal2D:
         return f"QSignal2D(n1={self.n1}, n2={self.n2})"
 
 
-def max_deviation(a: QSignal2D, b: QSignal2D) -> float:
-    """Largest quaternion-norm difference between matching samples."""
+def _check_shapes(a: QSignal2D, b: QSignal2D) -> None:
+    # numpy would broadcast a 1 x 1 grid over any other
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+
+
+def max_deviation(a: QSignal2D, b: QSignal2D) -> float:
+    """Largest quaternion-norm difference between matching samples."""
+    _check_shapes(a, b)
     return float(np.sqrt(np.max(qnorm_sq(a.comps - b.comps))))
 
 

@@ -32,6 +32,7 @@ j-complex value c + j*s on the right gives (c*u - s*v, c*v + s*u).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,17 +118,24 @@ def _freq_phase(p: ParamSet, w, du: float):
 
 def _axis_phase(p: ParamSet, n: int, dt: float, du: float,
                 xi, w) -> np.ndarray:
+    """Kernel phase at integer indices: Python ints or int64 arrays.
+
+    The DFT term (2*pi/N)*x*w has period N in x*w, which is reduced
+    mod N in integers, so the term stays exact at any N.
+    """
+    xw = xi * w % n
     xi = np.asarray(xi, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    return _time_phase(p, xi, dt) + (2.0 * math.pi / n) * xi * w + _freq_phase(p, w, du)
+    return _time_phase(p, xi, dt) + (2.0 * math.pi / n) * xw + _freq_phase(p, w, du)
 
 
 def _axis_step(p: ParamSet, n: int, dt: float, axis: str) -> None:
     """Refuse an axis whose dt^2 or kernel phase overflows float64.
 
     dt^2 enters ``qp_convolve`` even where a = 0 keeps it out of the phase.
-    Every term of the phase grows with x and w, so the phase is finite on
-    the axis if it is at x = w = n - 1, where an infinite du reads as NaN.
+    The time and frequency terms grow with x and w and the DFT term stays
+    below 2*pi, so the phase is finite on the axis if it is at
+    x = w = n - 1, where an infinite du reads as NaN.
     """
     if not math.isfinite(dt * dt):
         raise ParameterError(f"{axis}: dt={dt!r} squared overflows float64")
@@ -154,6 +162,7 @@ def _kernel_factors(cfg: TransformConfig):
 
 def _kernel_entry(cfg: TransformConfig, axis: int, xi: int, w: int) -> complex:
     p, n, dt, du = _axes(cfg)[axis - 1]
+    xi, w = operator.index(xi), operator.index(w)
     if not (0 <= xi < n and 0 <= w < n):
         raise IndexError(f"axis-{axis} indices out of range for N{axis}={n}: ({xi}, {w})")
     return complex(np.exp(-1j * _axis_phase(p, n, dt, du, xi, w)) / math.sqrt(n))
@@ -302,7 +311,7 @@ def modulated_signal(f: QSignal2D, eps1: int, eps2: int) -> QSignal2D:
 
 def circular_shift(f: QSignal2D, k1: int, k2: int) -> QSignal2D:
     """f[(x1 - k1) mod N1, (x2 - k2) mod N2]."""
-    return QSignal2D(np.roll(f.comps, (k1, k2), axis=(0, 1)))
+    return QSignal2D._adopt(np.roll(f.comps, (k1, k2), axis=(0, 1)))
 
 
 def _check_identity(f: QSignal2D, cfg: TransformConfig, identity: str, shift=(0, 0)):

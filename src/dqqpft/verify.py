@@ -111,6 +111,50 @@ def _oracle_kernel(alpha: float, gamma: float, n: int, dt: float, du: float) -> 
                         + gamma * w * w * du * du)) / math.sqrt(n)
 
 
+def _qfrft_kernel(theta: float, n: int, dt: float) -> np.ndarray:
+    """Discrete fractional kernel written out from the angle directly."""
+    half_cot = math.cos(theta) / math.sin(theta) / 2.0
+    du = 2.0 * math.pi / math.sin(theta) / (n * dt)
+    return _oracle_kernel(half_cot, half_cot, n, dt, du)
+
+
+def _qlct_kernel(a: float, b: float, d: float, n: int, dt: float) -> np.ndarray:
+    """Discrete linear-canonical kernel written out from (a, b, d) directly."""
+    du = 2.0 * math.pi * (1.0 / b) / (n * dt)
+    return _oracle_kernel(a / (2.0 * b), d / (2.0 * b), n, dt, du)
+
+
+def _expi(theta: float) -> Quaternion:
+    return Quaternion(math.cos(theta), math.sin(theta), 0.0, 0.0)
+
+
+def _expj(theta: float) -> Quaternion:
+    return Quaternion(math.cos(theta), 0.0, math.sin(theta), 0.0)
+
+
+def _brute_qp_convolve(f: QSignal2D, g: QSignal2D, cfg) -> QSignal2D:
+    """Scalar-loop evaluation of the chirp-weighted circular convolution.
+
+    At a = 0 both chirps are the exact unit quaternion, so this is the
+    plain circular convolution sum of f[z] * g[x - z].
+    """
+    n1, n2 = f.shape
+    dt1sq = cfg.grid.dt1 ** 2
+    dt2sq = cfg.grid.dt2 ** 2
+    out = np.empty((n1, n2, 4))
+    for x1 in range(n1):
+        for x2 in range(n2):
+            acc = Quaternion()
+            for z1 in range(n1):
+                wl = _expi(-2.0 * cfg.p1.a * z1 * (z1 - x1) * dt1sq)
+                for z2 in range(n2):
+                    wr = _expj(-2.0 * cfg.p2.a * z2 * (z2 - x2) * dt2sq)
+                    acc = acc + wl * f.at(z1, z2) \
+                        * g.at((x1 - z1) % n1, (x2 - z2) % n2) * wr
+            out[x1, x2] = acc.to_array()
+    return QSignal2D(out)
+
+
 def _qft_oracle(f: QSignal2D) -> QSignal2D:
     """Normalised two-sided quaternion DFT from written-out kernels.
 
@@ -199,11 +243,9 @@ def _core_corpus(rng, results):
     results.append(PropertyResult("fast-vs-direct", dev_fast, 1e-10))
     results.append(PropertyResult("roundtrip-direct", dev_round, 1e-10))
     results.append(PropertyResult("roundtrip-fast", dev_round_fast, 1e-10))
+    # the spectrum/time energy ratio is 1: a 1/(N1*N2)-scaled reading of
+    # the Plancherel identity is off by exactly that factor and does not hold
     results.append(PropertyResult("energy-preservation", dev_energy, 1e-10))
-    results.append(PropertyResult(
-        "plancherel-scaling", dev_energy, None,
-        note=f"measured spectrum/time energy ratio 1 (worst drift {dev_energy:.3e}); "
-             f"a 1/(N1*N2)-scaled reading is off by exactly that factor and is not reproduced"))
 
 
 def _special_cases(rng, results):
@@ -224,13 +266,8 @@ def _special_cases(rng, results):
         p1, p2 = preset_qfrft(th1, th2)
         cfg = make_config(p1, p2, n1, n2, dt1, dt2)
         f = _rand_signal(rng, n1, n2)
-        ks = []
-        for th, n, dt in ((th1, n1, dt1), (th2, n2, dt2)):
-            half_cot = math.cos(th) / math.sin(th) / 2.0
-            du = 2.0 * math.pi / math.sin(th) / (n * dt)
-            ks.append(_oracle_kernel(half_cot, half_cot, n, dt, du))
-        dev_frft = max(dev_frft, rel_deviation(forward_direct(f, cfg),
-                                               _scalar_sandwich(f, ks[0], ks[1])))
+        ref = _scalar_sandwich(f, _qfrft_kernel(th1, n1, dt1), _qfrft_kernel(th2, n2, dt2))
+        dev_frft = max(dev_frft, rel_deviation(forward_direct(f, cfg), ref))
     results.append(PropertyResult("qfrft-collapse-vs-oracle", dev_frft, 1e-12))
 
     dev_lct = 0.0
@@ -244,12 +281,8 @@ def _special_cases(rng, results):
         p1, p2 = preset_qlct(abd1, abd2)
         cfg = make_config(p1, p2, n1, n2, dt1, dt2)
         f = _rand_signal(rng, n1, n2)
-        ks = []
-        for (a, b, d), n, dt in ((abd1, n1, dt1), (abd2, n2, dt2)):
-            du = 2.0 * math.pi * (1.0 / b) / (n * dt)
-            ks.append(_oracle_kernel(a / (2.0 * b), d / (2.0 * b), n, dt, du))
-        dev_lct = max(dev_lct, rel_deviation(forward_direct(f, cfg),
-                                             _scalar_sandwich(f, ks[0], ks[1])))
+        ref = _scalar_sandwich(f, _qlct_kernel(*abd1, n1, dt1), _qlct_kernel(*abd2, n2, dt2))
+        dev_lct = max(dev_lct, rel_deviation(forward_direct(f, cfg), ref))
     results.append(PropertyResult("qlct-collapse-vs-oracle", dev_lct, 1e-12))
 
 
@@ -361,15 +394,8 @@ def _convolution_checks(rng, results):
         cfg = make_config(p1, p2, n1, n2)
         f = _rand_signal(rng, n1, n2)
         g = _rand_signal(rng, n1, n2)
-        ref = np.empty((n1, n2, 4))
-        for x1 in range(n1):
-            for x2 in range(n2):
-                acc = Quaternion()
-                for z1 in range(n1):
-                    for z2 in range(n2):
-                        acc = acc + f.at(z1, z2) * g.at((x1 - z1) % n1, (x2 - z2) % n2)
-                ref[x1, x2] = acc.to_array()
-        dev_circ = max(dev_circ, rel_deviation(qp_convolve(f, g, cfg), QSignal2D(ref)))
+        dev_circ = max(dev_circ, rel_deviation(qp_convolve(f, g, cfg),
+                                               _brute_qp_convolve(f, g, cfg)))
     results.append(PropertyResult("convolution-zero-chirp-vs-oracle", dev_circ, 1e-12))
 
     dev_fact = 0.0

@@ -4,8 +4,15 @@ Everything here is deliberately written with scalar quaternion
 arithmetic, explicit kernel matrices or, for ``loop_qp_convolve``, the
 per-output ``qmul`` loop the matrix form of ``qp_convolve`` replaced,
 never through the vectorised production code paths it is checking.
-The seeded input generators and the traced-memory gauge at the end are
-shared by the test modules.
+
+The references that ``dqqpft.verify`` also runs have their one copy
+there and are imported under the names the tests use: the matrix DFT
+(``naive_dft2``), the scalar two-sided apply (``scalar_two_sided``),
+the written-out qfrft and qlct kernels, the scalar convolution sum
+(``brute_qp_convolve``, with ``expi``/``expj``) and the seeded
+``rand_params``/``rand_signal`` draws.  The configs, the 2x2 worked
+example and the traced-memory gauge at the end are shared by the test
+modules.
 """
 
 import math
@@ -13,17 +20,36 @@ import tracemalloc
 
 import numpy as np
 
-from dqqpft.params import ParamSet
+from dqqpft.params import preset_qft
 from dqqpft.quaternion import Quaternion, qmul
 from dqqpft.signal import QSignal2D
+from dqqpft.transform import TWO_SIDED, make_config
+from dqqpft.verify import (
+    _brute_qp_convolve as brute_qp_convolve,
+    _expi as expi,
+    _expj as expj,
+    _naive_dft2 as naive_dft2,
+    _qfrft_kernel as qfrft_kernel,
+    _qlct_kernel as qlct_kernel,
+    _rand_params as rand_params,
+    _rand_signal as rand_signal,
+    _scalar_sandwich as scalar_two_sided,
+)
+
+# the 2x2 worked example: its spectrum under qft, energy 3150 on both sides
+EXAMPLE_IN = [[35.0, 30.0], [25.0, 20.0]]
+EXAMPLE_OUT = [[55.0, 5.0], [10.0, 0.0]]
 
 
-def expi(theta: float) -> Quaternion:
-    return Quaternion(math.cos(theta), math.sin(theta), 0.0, 0.0)
+def qft_cfg(n1, n2):
+    p1, p2 = preset_qft()
+    return make_config(p1, p2, n1, n2)
 
 
-def expj(theta: float) -> Quaternion:
-    return Quaternion(math.cos(theta), 0.0, math.sin(theta), 0.0)
+def rand_cfg(rng, n1, n2, side=TWO_SIDED):
+    """Random config drawn as params, params, dt1, dt2."""
+    return make_config(rand_params(rng), rand_params(rng), n1, n2,
+                       rng.uniform(0.25, 2.0), rng.uniform(0.25, 2.0), side)
 
 
 def axis_phase(p, n, dt, du, xi, w) -> float:
@@ -100,74 +126,6 @@ def brute_inverse(F: QSignal2D, cfg) -> QSignal2D:
     return QSignal2D(out)
 
 
-def scalar_two_sided(f: QSignal2D, k1: np.ndarray, k2: np.ndarray) -> QSignal2D:
-    """Two-sided apply of explicit kernel matrices with scalar quaternions.
-
-    k1 is the i-complex left kernel, k2 the cos/sin bookkeeping of the
-    j-complex right kernel, both indexed (sample, frequency).
-    """
-    n1, n2 = f.shape
-    out = np.empty((n1, n2, 4))
-    for w1 in range(n1):
-        for w2 in range(n2):
-            acc = Quaternion()
-            for x1 in range(n1):
-                lk = Quaternion(k1[x1, w1].real, k1[x1, w1].imag, 0.0, 0.0)
-                for x2 in range(n2):
-                    rk = Quaternion(k2[x2, w2].real, 0.0, k2[x2, w2].imag, 0.0)
-                    acc = acc + lk * f.at(x1, x2) * rk
-            out[w1, w2] = acc.to_array()
-    return QSignal2D(out)
-
-
-def qfrft_kernel(theta: float, n: int, dt: float) -> np.ndarray:
-    """Discrete fractional kernel written out from the angle directly."""
-    half_cot = math.cos(theta) / math.sin(theta) / 2.0
-    du = 2.0 * math.pi / math.sin(theta) / (n * dt)
-    xi = np.arange(n, dtype=float)[:, None]
-    w = np.arange(n, dtype=float)[None, :]
-    return np.exp(1j * (half_cot * xi * xi * dt * dt
-                        - 2.0 * np.pi * xi * w / n
-                        + half_cot * w * w * du * du)) / math.sqrt(n)
-
-
-def qlct_kernel(a: float, b: float, d: float, n: int, dt: float) -> np.ndarray:
-    """Discrete linear-canonical kernel written out from (a, b, d) directly."""
-    du = 2.0 * math.pi * (1.0 / b) / (n * dt)
-    xi = np.arange(n, dtype=float)[:, None]
-    w = np.arange(n, dtype=float)[None, :]
-    return np.exp(1j * ((a / (2.0 * b)) * xi * xi * dt * dt
-                        - 2.0 * np.pi * xi * w / n
-                        + (d / (2.0 * b)) * w * w * du * du)) / math.sqrt(n)
-
-
-def naive_dft2(x: np.ndarray, sign1: int, sign2: int) -> np.ndarray:
-    """Matrix-form O(N^2)-per-axis DFT with one exponent sign per axis."""
-    n1, n2 = x.shape
-    w1 = np.exp(sign1 * 2j * np.pi * np.outer(np.arange(n1), np.arange(n1)) / n1)
-    w2 = np.exp(sign2 * 2j * np.pi * np.outer(np.arange(n2), np.arange(n2)) / n2)
-    return w1.T @ x @ w2
-
-
-def brute_qp_convolve(f: QSignal2D, g: QSignal2D, cfg) -> QSignal2D:
-    """Scalar-loop evaluation of the chirp-weighted circular convolution."""
-    n1, n2 = f.shape
-    dt1sq = cfg.grid.dt1 ** 2
-    dt2sq = cfg.grid.dt2 ** 2
-    out = np.empty((n1, n2, 4))
-    for x1 in range(n1):
-        for x2 in range(n2):
-            acc = Quaternion()
-            for z1 in range(n1):
-                wl = expi(-2.0 * cfg.p1.a * z1 * (z1 - x1) * dt1sq)
-                for z2 in range(n2):
-                    wr = expj(-2.0 * cfg.p2.a * z2 * (z2 - x2) * dt2sq)
-                    acc = acc + wl * f.at(z1, z2) \
-                        * g.at((x1 - z1) % n1, (x2 - z2) % n2) * wr
-            out[x1, x2] = acc.to_array()
-    return QSignal2D(out)
-
-
 def loop_qp_convolve(f: QSignal2D, g: QSignal2D, cfg) -> QSignal2D:
     """One output sample per iteration, three vectorised ``qmul`` calls each."""
     n1, n2 = f.n1, f.n2
@@ -194,16 +152,6 @@ def loop_qp_convolve(f: QSignal2D, g: QSignal2D, cfg) -> QSignal2D:
             term = qmul(qmul(qmul(wl[:, None, :], fc), gb), wr[None, :, :])
             out[x1, x2] = term.sum(axis=(0, 1))
     return QSignal2D(out)
-
-
-def rand_params(rng) -> ParamSet:
-    a, c, d, e = rng.uniform(-2.0, 2.0, size=4)
-    b = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
-    return ParamSet(a, b, c, d, e)
-
-
-def rand_signal(rng, n1: int, n2: int) -> QSignal2D:
-    return QSignal2D(rng.uniform(-1.0, 1.0, size=(n1, n2, 4)))
 
 
 def traced_peak(fn, *args) -> int:

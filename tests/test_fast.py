@@ -14,7 +14,7 @@ from dqqpft.fast import (
     make_plan,
     make_psi,
 )
-from dqqpft.params import ParameterError, preset_qft
+from dqqpft.params import ParameterError
 from dqqpft.signal import QSignal2D, max_deviation, rel_deviation
 from dqqpft.transform import (
     LEFT_SIDED,
@@ -24,20 +24,16 @@ from dqqpft.transform import (
     modulated_signal,
 )
 from dqqpft.verify import _alt_dqft2, _mixed_axis_grid, _qft_oracle
-from oracles import naive_dft2, rand_params, rand_signal, traced_peak
-
-EXAMPLE_IN = [[35.0, 30.0], [25.0, 20.0]]
-EXAMPLE_OUT = [[55.0, 5.0], [10.0, 0.0]]
-
-
-def qft_cfg(n1, n2):
-    p1, p2 = preset_qft()
-    return make_config(p1, p2, n1, n2)
-
-
-def rand_cfg(rng, n1, n2):
-    return make_config(rand_params(rng), rand_params(rng), n1, n2,
-                       rng.uniform(0.25, 2.0), rng.uniform(0.25, 2.0))
+from oracles import (
+    EXAMPLE_IN,
+    EXAMPLE_OUT,
+    naive_dft2,
+    qft_cfg,
+    rand_cfg,
+    rand_params,
+    rand_signal,
+    traced_peak,
+)
 
 
 # --- plan and chirp stage ---------------------------------------------------

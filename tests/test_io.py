@@ -24,12 +24,7 @@ from dqqpft.io import (
 from dqqpft.params import format_param_pair, preset_qft
 from dqqpft.signal import QSignal2D
 from dqqpft.transform import make_config
-from oracles import rand_params, rand_signal, traced_peak
-
-
-def rand_cfg(rng, n1, n2):
-    return make_config(rand_params(rng), rand_params(rng), n1, n2,
-                       rng.uniform(0.25, 2.0), rng.uniform(0.25, 2.0))
+from oracles import rand_cfg, rand_signal, traced_peak
 
 
 def test_qcsv_roundtrip_is_bit_exact(tmp_path):

@@ -90,6 +90,16 @@ def test_arithmetic():
     np.testing.assert_allclose((a - b).comps, a.comps - b.comps)
     np.testing.assert_allclose((2.5 * a).comps, a.comps * 2.5)
     np.testing.assert_allclose((-a).comps, -a.comps)
+    # results are adopted, not copied, and frozen like any signal
+    for out in (a + b, a - b, 2.5 * a, -a, a.conjugate()):
+        assert out.comps.flags.c_contiguous and not out.comps.flags.writeable
+
+
+@pytest.mark.parametrize("op", [QSignal2D.__add__, QSignal2D.__sub__], ids=["add", "sub"])
+def test_arithmetic_refuses_mismatched_grids(op):
+    # numpy alone would broadcast the 1 x 1 grid to a 3 x 5 result
+    with pytest.raises(ValueError, match=r"\(1, 1\) vs \(3, 5\)"):
+        op(QSignal2D.zeros(1, 1), QSignal2D.zeros(3, 5))
 
 
 def test_conjugate():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -31,29 +32,19 @@ from dqqpft.transform import (
 )
 from dqqpft.verify import _qft_oracle
 from oracles import (
+    EXAMPLE_IN,
+    EXAMPLE_OUT,
     brute_forward,
     brute_inverse,
     expi,
     expj,
     loop_dqpft_1d,
+    qft_cfg,
+    rand_cfg,
     rand_params,
     rand_signal,
     traced_peak,
 )
-
-EXAMPLE_IN = [[35.0, 30.0], [25.0, 20.0]]
-EXAMPLE_OUT = [[55.0, 5.0], [10.0, 0.0]]
-
-
-def qft_cfg(n1, n2, dt1=1.0, dt2=1.0, side=TWO_SIDED):
-    p1, p2 = preset_qft()
-    return make_config(p1, p2, n1, n2, dt1, dt2, side)
-
-
-def rand_cfg(rng, n1, n2, side=TWO_SIDED):
-    return make_config(rand_params(rng), rand_params(rng), n1, n2,
-                       rng.uniform(0.25, 2.0), rng.uniform(0.25, 2.0), side)
-
 
 # --- config ---------------------------------------------------------------
 
@@ -94,6 +85,16 @@ def test_kernel_single_point_grid():
     assert right_kernel(cfg, 0, 0) == 1.0
 
 
+@pytest.mark.parametrize("n", [65537, 10_000_019])
+def test_kernel_dft_term_is_exact_at_large_n(n):
+    # (N-1)^2 = 1 mod N; the float phase (2*pi/N)*(N-1)*(N-1), near
+    # 2*pi*N, is 1.7e-11 rad off at N = 65537
+    cfg = qft_cfg(n, n)
+    want = cmath.exp(-2j * math.pi / n) / math.sqrt(n)
+    assert abs(left_kernel(cfg, n - 1, n - 1) - want) <= 1e-14
+    assert abs(right_kernel(cfg, n - 1, n - 1) - want) <= 1e-14
+
+
 def test_kernel_modulus_randomised():
     rng = np.random.default_rng(1)
     for _ in range(1000):
@@ -128,6 +129,8 @@ def test_kernel_index_range():
         left_kernel(cfg, 0, -1)
     with pytest.raises(IndexError):
         right_kernel(cfg, 3, 0)
+    with pytest.raises(TypeError):
+        left_kernel(cfg, 1.0, 0)
 
 
 # --- forward, direct ------------------------------------------------------

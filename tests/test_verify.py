@@ -27,7 +27,6 @@ def test_suite_passes_and_reports_diagnostics():
     ):
         assert expected in names and expected not in diagnostics
     assert diagnostics == {
-        "plancherel-scaling",
         "translation-circular-chirped",
         "convolution-factorisation-general",
         "alt-recombination",

@@ -77,8 +77,8 @@ def make_plan(cfg: TransformConfig) -> FastPlan:
         cfg=cfg,
         pre1=_time_chirp(cfg.p1, g.n1, g.dt1, -1),
         pre2=_time_chirp(cfg.p2, g.n2, g.dt2, -1),
-        post1=_freq_chirp(cfg.p1, g.n1, cfg.du1, -1),
-        post2=_freq_chirp(cfg.p2, g.n2, cfg.du2, -1),
+        post1=_freq_chirp(cfg.p1, g.n1, g.dt1, -1),
+        post2=_freq_chirp(cfg.p2, g.n2, g.dt2, -1),
     )
 
 

@@ -59,6 +59,7 @@ from itertools import islice
 
 import numpy as np
 
+from .exact import _two_product, _veltkamp
 from .params import ParameterError, _parse_floats, format_param_pair, parse_param_pair
 from .signal import QSignal2D
 from .transform import TransformConfig, _check_dims, make_config
@@ -219,13 +220,14 @@ def read_qcsv(path) -> tuple[QSignal2D, TransformConfig]:
             p1, p2 = parse_param_pair(ptext)
         except ParameterError as exc:
             raise QcsvError(lineno, str(exc)) from None
+        # the header alone decides the config: refuse it before the body is read
+        try:
+            cfg = make_config(p1, p2, n1, n2, dt1, dt2)
+        except ParameterError as exc:
+            raise QcsvError(None, str(exc)) from None
 
         comps = _read_body(fh, lineno, n1 * n2)
 
-    try:
-        cfg = make_config(p1, p2, n1, n2, dt1, dt2)
-    except ParameterError as exc:
-        raise QcsvError(None, str(exc)) from None
     return QSignal2D._adopt(comps.reshape(n1, n2, 4)), cfg
 
 
@@ -243,26 +245,12 @@ def read_qcsv(path) -> tuple[QSignal2D, TransformConfig]:
 # precision", Numer. Math. 18, 1971.)  The table runs on to 10**22, the
 # last exact power of ten, for the reader's kernel below.
 _POW10 = np.array([float(10**j) for j in range(23)])
-_VELTKAMP = 2.0 ** 27 + 1
-
-
-def _veltkamp(x):
-    """x split exactly into a high and a low part of at most 26 bits each."""
-    t = _VELTKAMP * x
-    hi = t - (t - x)
-    return hi, x - hi
-
-
 _POW10_HI, _POW10_LO = _veltkamp(_POW10)
 
 
 def _times_pow10(a, j):
     """(p, e) with p + e == a·10**j exactly, p the rounded product."""
-    p = a * _POW10[j]
-    a_hi, a_lo = _veltkamp(a)
-    y_hi, y_lo = _POW10_HI[j], _POW10_LO[j]
-    e = ((a_hi * y_hi - p) + a_hi * y_lo + a_lo * y_hi) + a_lo * y_lo
-    return p, e
+    return _two_product(a, _POW10[j], (_POW10_HI[j], _POW10_LO[j]))
 
 
 def _digits17(a):

@@ -155,8 +155,8 @@ def conv_theorem_rhs(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSigna
         comp = QSignal2D.from_real(f.comps[..., n])
         qn = forward_fast(comp, plan).comps
         acc = acc + qmul(qmul(units[n], qn), qg)
-    psi_i = _freq_chirp(cfg.p1, g1, cfg.du1, +1) * math.sqrt(g1 * g2)
-    psi_j = _freq_chirp(cfg.p2, g2, cfg.du2, +1)
+    psi_i = _freq_chirp(cfg.p1, g1, cfg.grid.dt1, +1) * math.sqrt(g1 * g2)
+    psi_j = _freq_chirp(cfg.p2, g2, cfg.grid.dt2, +1)
     return QSignal2D._adopt(_pointwise_sandwich(acc, psi_i, psi_j))
 
 

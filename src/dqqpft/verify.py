@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fast import _fft2_raw, dqft2_via_fft, dqpft_1d, forward_fast, inverse_fast, make_plan
-from .params import ParamSet, preset_qfrft, preset_qft, preset_qlct
+from .params import ParamSet, _freq_step, preset_qfrft, preset_qft, preset_qlct
 from .qconv import conv_theorem_check, qp_convolve
 from .quaternion import J, Quaternion, embed_complex, qmul
 from .signal import QSignal2D, max_deviation, rel_deviation
@@ -69,10 +69,11 @@ def _rand_signal(rng, n1: int, n2: int) -> QSignal2D:
     return QSignal2D(rng.uniform(-1.0, 1.0, size=(n1, n2, 4)))
 
 
-def _rand_cfg(rng, n1: int, n2: int, side=None):
+def _rand_cfg(rng, n1: int, n2: int, side=TWO_SIDED):
+    """Random config drawn as params, params, dt1, dt2."""
+    p1, p2 = _rand_params(rng), _rand_params(rng)
     dt1, dt2 = rng.uniform(0.25, 2.0, size=2)
-    kwargs = {} if side is None else {"side": side}
-    return make_config(_rand_params(rng), _rand_params(rng), n1, n2, dt1, dt2, **kwargs)
+    return make_config(p1, p2, n1, n2, dt1, dt2, side)
 
 
 def _naive_dft2(x: np.ndarray, sign1: int, sign2: int) -> np.ndarray:
@@ -286,23 +287,38 @@ def _special_cases(rng, results):
     results.append(PropertyResult("qlct-collapse-vs-oracle", dev_lct, 1e-12))
 
 
+def _ref_axis_phase(p: ParamSet, n: int, dt: float, du: float, xi, w) -> float:
+    """The kernel phase written out in float64 from its definition."""
+    return (p.a * xi * xi * dt * dt + 2.0 * math.pi * xi * w / n
+            + p.c * w * w * du * du + p.d * xi * dt + p.e * w * du)
+
+
+def _loop_dqpft_1d(comps: np.ndarray, p: ParamSet, dt: float) -> np.ndarray:
+    """Sample-by-sample sum of q[x] * exp(-i*ph(x, w)) / sqrt(N) over an (N, 4) array."""
+    n = len(comps)
+    du = _freq_step(p, n, dt)
+    qs = [Quaternion.from_array(q) for q in comps]
+    out = np.empty((n, 4))
+    for w in range(n):
+        acc = Quaternion()
+        for xi in range(n):
+            acc = acc + qs[xi] * _expi(-_ref_axis_phase(p, n, dt, du, xi, w))
+        out[w] = (acc * (1.0 / math.sqrt(n))).to_array()
+    return out
+
+
 def _dqpft_1d_oracle(rng, results):
     dev = 0.0
     for _ in range(20):
         n = int(rng.integers(1, 12))
         p = _rand_params(rng)
         dt = float(rng.uniform(0.5, 1.5))
-        du = 2.0 * math.pi * p.b / (n * dt)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         got = dqpft_1d(x, p, dt)
-        for w in range(n):
-            acc = 0.0 + 0.0j
-            for xi in range(n):
-                ph = (p.a * xi * xi * dt * dt + 2.0 * math.pi * xi * w / n
-                      + p.c * w * w * du * du + p.d * xi * dt + p.e * w * du)
-                acc += x[xi] * complex(math.cos(-ph), math.sin(-ph))
-            acc /= math.sqrt(n)
-            dev = max(dev, abs(got[w] - acc))
+        comps = np.zeros((n, 4))
+        comps[:, 0], comps[:, 1] = x.real, x.imag
+        want = _loop_dqpft_1d(comps, p, dt)
+        dev = max(dev, float(np.max(np.abs(got - (want[:, 0] + 1j * want[:, 1])))))
     results.append(PropertyResult("dqpft1d-vs-loop", dev, 1e-12))
 
 

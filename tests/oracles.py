@@ -10,29 +10,40 @@ there and are imported under the names the tests use: the matrix DFT
 (``naive_dft2``), the scalar two-sided apply (``scalar_two_sided``),
 the written-out qfrft and qlct kernels, the scalar convolution sum
 (``brute_qp_convolve``, with ``expi``/``expj``) and the seeded
-``rand_params``/``rand_signal`` draws.  The configs, the 2x2 worked
-example and the traced-memory gauge at the end are shared by the test
-modules.
+``rand_params``/``rand_signal``/``rand_cfg`` draws, and the written-out
+float64 kernel phase (``axis_phase``) with its 1D loop
+(``loop_dqpft_1d``).  The configs, the 2x2 worked example and the
+traced-memory gauge at the end are shared by the test modules.
+
+``exact_phase_tables``/``exact_transform_bins`` are the large-N
+reference: phases in 60-digit decimal, reduced mod 2*pi before they are
+rounded, and a separable O(N1*N2) sum per output bin in numpy complex
+arithmetic, so the fast path can be checked at sizes where the scalar
+references would take hours.
 """
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from dqqpft.params import preset_qft
 from dqqpft.quaternion import Quaternion, qmul
 from dqqpft.signal import QSignal2D
-from dqqpft.transform import TWO_SIDED, make_config
+from dqqpft.transform import make_config
 from dqqpft.verify import (
     _brute_qp_convolve as brute_qp_convolve,
     _expi as expi,
     _expj as expj,
+    _loop_dqpft_1d as loop_dqpft_1d,
     _naive_dft2 as naive_dft2,
     _qfrft_kernel as qfrft_kernel,
     _qlct_kernel as qlct_kernel,
+    _rand_cfg as rand_cfg,
     _rand_params as rand_params,
     _rand_signal as rand_signal,
+    _ref_axis_phase as axis_phase,
     _scalar_sandwich as scalar_two_sided,
 )
 
@@ -46,22 +57,10 @@ def qft_cfg(n1, n2):
     return make_config(p1, p2, n1, n2)
 
 
-def rand_cfg(rng, n1, n2, side=TWO_SIDED):
-    """Random config drawn as params, params, dt1, dt2."""
-    return make_config(rand_params(rng), rand_params(rng), n1, n2,
-                       rng.uniform(0.25, 2.0), rng.uniform(0.25, 2.0), side)
-
-
-def axis_phase(p, n, dt, du, xi, w) -> float:
-    return (p.a * xi * xi * dt * dt + 2.0 * math.pi * xi * w / n
-            + p.c * w * w * du * du + p.d * xi * dt + p.e * w * du)
-
-
 def brute_forward(f: QSignal2D, cfg) -> QSignal2D:
     """Four-nested-loop evaluation of the defining transform sum."""
     g = cfg.grid
-    du1 = 2.0 * math.pi * cfg.p1.b / (g.n1 * g.dt1)
-    du2 = 2.0 * math.pi * cfg.p2.b / (g.n2 * g.dt2)
+    du1, du2 = cfg.du1, cfg.du2
     scale = 1.0 / math.sqrt(g.n1 * g.n2)
     out = np.empty((g.n1, g.n2, 4))
     for w1 in range(g.n1):
@@ -82,20 +81,6 @@ def brute_forward(f: QSignal2D, cfg) -> QSignal2D:
     return QSignal2D(out)
 
 
-def loop_dqpft_1d(comps, p, dt) -> np.ndarray:
-    """Sample-by-sample sum of q[x] * exp(-i*ph(x, w)) / sqrt(N) over an (N, 4) array."""
-    n = len(comps)
-    du = 2.0 * math.pi * p.b / (n * dt)
-    qs = [Quaternion.from_array(q) for q in comps]
-    out = np.empty((n, 4))
-    for w in range(n):
-        acc = Quaternion()
-        for xi in range(n):
-            acc = acc + qs[xi] * expi(-axis_phase(p, n, dt, du, xi, w))
-        out[w] = (acc * (1.0 / math.sqrt(n))).to_array()
-    return out
-
-
 def brute_inverse(F: QSignal2D, cfg) -> QSignal2D:
     """Four-nested-loop inverse: conjugated kernels, summed over frequency.
 
@@ -104,8 +89,7 @@ def brute_inverse(F: QSignal2D, cfg) -> QSignal2D:
     product in reversed order, j-factor first, on the same side.
     """
     g = cfg.grid
-    du1 = 2.0 * math.pi * cfg.p1.b / (g.n1 * g.dt1)
-    du2 = 2.0 * math.pi * cfg.p2.b / (g.n2 * g.dt2)
+    du1, du2 = cfg.du1, cfg.du2
     scale = 1.0 / math.sqrt(g.n1 * g.n2)
     out = np.empty((g.n1, g.n2, 4))
     for x1 in range(g.n1):
@@ -124,6 +108,58 @@ def brute_inverse(F: QSignal2D, cfg) -> QSignal2D:
                         acc = acc + s * rk * lk
             out[x1, x2] = (acc * scale).to_array()
     return QSignal2D(out)
+
+
+_PI60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def exact_phase_tables(p, n, dt):
+    """Both sides of an axis's kernel phase at every index, from 60-digit decimal.
+
+    Returns float arrays of a*x^2*dt^2 + d*x*dt and c*w^2*du^2 + e*w*du
+    for x, w = 0..n-1, each reduced mod 2*pi in decimal before rounding,
+    with du = 2*pi*b/(n*dt) derived in decimal from its definition.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        two_pi = 2 * _PI60
+        a, b, c, d, e = (Decimal(v) for v in p.as_tuple())
+        h = Decimal(dt)
+        du = two_pi * b / (n * h)
+        time = [float((a * x * x * h * h + d * x * h) % two_pi) for x in range(n)]
+        freq = [float((c * w * w * du * du + e * w * du) % two_pi) for w in range(n)]
+    return np.array(time), np.array(freq)
+
+
+def exact_transform_bins(comps, cfg, bins, sign):
+    """The transform (sign -1) or its inverse (sign +1) at each (k1, k2) of ``bins``.
+
+    Sums exp(sign*i*ph1) * q * exp(sign*j*ph2) / sqrt(N1*N2) over the
+    other index, with ph from ``exact_phase_tables`` and the DFT term
+    2*pi*(x*w mod N)/N.  With q = u + v*j, X = e^{i*alpha}*u and
+    Y = e^{i*alpha}*v, (X + Y*j) * e^{j*beta} is
+    (X*cos(beta) - Y*sin(beta)) + (X*sin(beta) + Y*cos(beta))*j.
+    Returns a (len(bins), 4) component array.
+    """
+    g = cfg.grid
+    tables = [exact_phase_tables(p, n, dt)
+              for p, n, dt in ((cfg.p1, g.n1, g.dt1), (cfg.p2, g.n2, g.dt2))]
+    uv = comps.view(np.complex128)
+    u, v = uv[..., 0], uv[..., 1]
+    out = np.empty((len(bins), 2), dtype=np.complex128)
+    for row, k in enumerate(bins):
+        ph = []
+        for (time, freq), n, kk in zip(tables, (g.n1, g.n2), k):
+            idx = np.arange(n)
+            dft = 2.0 * math.pi * (idx * kk % n) / n
+            # forward: sum over x at frequency k; inverse: sum over w at sample k
+            ph.append(time + dft + freq[kk] if sign < 0 else time[kk] + dft + freq)
+        alpha, beta = sign * ph[0], sign * ph[1]
+        cb, sb = np.cos(beta), np.sin(beta)
+        rot = np.exp(1j * alpha)
+        out[row, 0] = rot @ (u @ cb - v @ sb)
+        out[row, 1] = rot @ (u @ sb + v @ cb)
+    return out.view(np.float64) / math.sqrt(g.n1 * g.n2)
 
 
 def loop_qp_convolve(f: QSignal2D, g: QSignal2D, cfg) -> QSignal2D:

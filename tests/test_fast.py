@@ -18,6 +18,7 @@ from dqqpft.params import ParameterError
 from dqqpft.signal import QSignal2D, max_deviation, rel_deviation
 from dqqpft.transform import (
     LEFT_SIDED,
+    _modulation_rhs_of,
     forward_direct,
     inverse_direct,
     make_config,
@@ -27,6 +28,7 @@ from dqqpft.verify import _alt_dqft2, _mixed_axis_grid, _qft_oracle
 from oracles import (
     EXAMPLE_IN,
     EXAMPLE_OUT,
+    exact_transform_bins,
     naive_dft2,
     qft_cfg,
     rand_cfg,
@@ -301,6 +303,48 @@ def test_fortran_ordered_input_is_accepted():
     cfg = rand_cfg(rng, 5, 6)
     f = QSignal2D(comps)
     assert rel_deviation(forward_fast(f, make_plan(cfg)), forward_direct(f, cfg)) < 1e-10
+
+
+# --- accuracy at the sizes the fast path serves ------------------------------
+
+# Skinny grids reach N = 16384 cheaply.  Float64 phases a*(x*dt)^2 lose
+# O(N^2 * eps) rad and read up to ~1e-7 here; double-double phases reduced
+# mod 2*pi read at most 7.3e-15 over five seeds per grid, so the bound
+# has a margin of about 14x.
+@pytest.mark.parametrize("n1,n2", [(1, 16384), (16384, 1), (4096, 16), (257, 257),
+                                   (96, 250), (1024, 1024)])
+def test_fast_path_matches_the_exact_phase_reference(n1, n2):
+    rng = np.random.default_rng([n1, n2])
+    cfg = rand_cfg(rng, n1, n2)
+    f = rand_signal(rng, n1, n2)
+    plan = make_plan(cfg)
+    bins = list(zip(rng.integers(0, n1, 16), rng.integers(0, n2, 16)))
+    rows, cols = np.array(bins).T
+    rms = math.sqrt(f.energy() / (n1 * n2))
+    for transform, sign in ((forward_fast, -1), (inverse_fast, +1)):
+        got = transform(f, plan).comps[rows, cols]
+        want = exact_transform_bins(f.comps, cfg, bins, sign)
+        assert np.linalg.norm(got - want, axis=1).max() / rms <= 1e-13
+
+
+# The paper's identities with the fast path on both sides.  Over five
+# seeds per grid the worst readings were 1.5e-15 (reconstruction), 2.3e-16
+# (energy) and 1.3e-15 (modulation), with no growth from 96x250 to 1024^2,
+# so one bound of 1e-14 serves every size.  Float64 phases read 4.1e-13 on
+# the modulation identity at 1024^2.  The right-hand side is built from
+# ``forward_fast(f)``, since ``modulation_rhs`` runs the direct path.
+@pytest.mark.parametrize("n1,n2", [(257, 257), (96, 250), (1024, 1024)])
+def test_identities_hold_on_the_fast_path_at_large_grids(n1, n2):
+    rng = np.random.default_rng([n1, n2, 1])
+    cfg = rand_cfg(rng, n1, n2)
+    f = rand_signal(rng, n1, n2)
+    plan = make_plan(cfg)
+    F = forward_fast(f, plan)
+    assert rel_deviation(inverse_fast(F, plan), f) <= 1e-14
+    assert abs(F.energy() - f.energy()) / f.energy() <= 1e-14
+    eps1, eps2 = int(rng.integers(0, n1)), int(rng.integers(0, n2))
+    lhs = forward_fast(modulated_signal(f, eps1, eps2), plan)
+    assert rel_deviation(lhs, _modulation_rhs_of(F, cfg, eps1, eps2)) <= 1e-14
 
 
 # --- diagnostic recombination ------------------------------------------------

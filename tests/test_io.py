@@ -76,6 +76,14 @@ def test_qcsv_header_with_zero_b(tmp_path):
         read_qcsv(path)
 
 
+def test_qcsv_header_whose_phase_overflows_is_refused_before_the_body(tmp_path):
+    # du = 2*pi/(2*1e-310) overflows; the bad sample on line 4 must not hide it
+    path = tmp_path / "bad.qcsv"
+    path.write_text("2,2\n1e-310,1\n0,1,0,0,0:0,1,0,0,0\nx,0,0,0\n" + "1,0,0,0\n" * 3)
+    with pytest.raises(QcsvError, match="^axis 1: kernel phase overflows float64"):
+        read_qcsv(path)
+
+
 def test_qcsv_malformed_header(tmp_path):
     path = tmp_path / "bad.qcsv"
     path.write_text("2\n1,1\n0,1,0,0,0:0,1,0,0,0\n" + "1,0,0,0\n" * 4)

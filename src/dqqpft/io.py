@@ -19,30 +19,26 @@ other value (zero, subnormals and the rest below 1e-4, and |v| >= 1e17)
 goes through ``%`` itself, so the bytes are those of per-value ``%.17g``.
 The reader parses the header line by line, then reads the body in blocks
 of 4096 lines straight from the open file, so a file, or a pipe, is never
-held as one string and the memory held is about one grid.  Each block goes
-through three tiers, and the first that takes it gives its samples:
+held as one string and the memory held is about one grid.  Like the writer,
+the reader has two tiers:
 
-1. An exact decimal kernel in numpy takes a block of plain sample lines:
-   four comma-separated fields ``-?D*[.D*]`` per line, each at most 23
-   bytes and 18 digit positions, with no exponent.  It reads eight digits
-   per 64-bit word into an integer D and divides it by 10**f, for f digits
-   after the point.  Below 2**53 that one IEEE division is correctly
-   rounded.  Above, the quotient q is corrected by the remainder
-   D - q·10**f, found exactly with the writer's two-product, so the
-   corrected value lies within 2**-49 ulp of D/10**f; a block holding a
-   value within 2**-30 ulp of a half-way point is refused.  Every value
-   taken is thus the correctly rounded one, the one ``float`` gives.  The
-   writer's 17 digits in its window lie at least 1/21 ulp from a half-way
-   point, so the kernel takes every block of them.
-2. One ``numpy.loadtxt`` call, kept only if it gives rows of four finite
-   values.
-3. A loop over the lines, which alone raises the sample errors, naming the
-   bad line.
+1. An exact decimal kernel in numpy reads a block whose every line holds
+   four comma-separated fields.  It takes a field ``-?D*[.D*]`` of at most
+   23 bytes and 18 digit positions: it reads eight digits per 64-bit word
+   into an integer D and divides it by 10**f, for f digits after the point.
+   Below 2**53 that one IEEE division is correctly rounded.  Above, the
+   quotient q is corrected by the remainder D - q·10**f, found exactly with
+   the writer's two-product, to within 2**-49 ulp of D/10**f; a value within
+   2**-30 ulp of a half-way point is left uncertified.  So every value it
+   certifies is the one ``float`` gives, and it certifies the writer's 17
+   digits in its window, which lie at least 1/21 ulp from a half-way point.
+   ``float`` reads each other field in place, an exponent form among them,
+   and every field of a block where such fields are the most.
+2. A loop over the lines, which alone raises the sample errors, naming the
+   bad line, reads a block with comments or blank lines among the samples,
+   a field that ``float`` refuses or reads as non-finite, or extra samples.
 
-So a block holding an exponent form (the writer's values outside its
-window, zero apart) falls to ``loadtxt``, and comments or blank lines among
-the samples, malformed or non-finite values and extra samples fall to the
-loop.  A non-ASCII byte anywhere raises an error naming its line.
+A non-ASCII byte anywhere raises an error naming its line.
 
 PPM support covers the 8-bit P3 (ASCII) and P6 (binary) flavours; a P3
 raster is tokenised in bulk with one regular expression.  The
@@ -119,25 +115,6 @@ def _split_floats(lineno: int, text: str, count: int, what: str) -> list[float]:
         raise QcsvError(lineno, str(exc)) from None
 
 
-def _loadtxt_body(block: list[str], room: int) -> np.ndarray | None:
-    """The block's samples parsed in C, or None when ``_loop_body`` must decide.
-
-    With ``comments=None`` numpy skips only empty lines and parses a field
-    only where ``float`` does, to the same bits, so an accepted block is one
-    the loop accepts with the same values.  A block of more than ``room``
-    samples is left to the loop, which names the first extra line.
-    """
-    if not any(map(str.strip, block)):  # loadtxt warns on a block without data
-        return None
-    try:
-        comps = np.loadtxt(block, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
-    if comps.shape[1] != 4 or len(comps) > room or not np.isfinite(comps).all():
-        return None
-    return comps
-
-
 def _loop_body(lines, seen: int, count: int) -> np.ndarray:
     """Parse the sample lines one by one; raises the sample ``QcsvError``s.
 
@@ -160,10 +137,9 @@ def _read_body(fh, lineno: int, count: int) -> np.ndarray:
     """The ``count`` samples after header line ``lineno``, read in blocks of lines.
 
     Rows are kept only as the file yields them: an untrusted header never
-    reserves memory, and the file is never held whole.  A block goes to the
-    decimal kernel, then to ``numpy.loadtxt``, then to the line loop; a tier
-    that gives more than the samples still due leaves the block to the loop,
-    which names the first extra line.
+    reserves memory, and the file is never held whole.  A block goes to
+    ``_parse_samples``, and to the line loop when that gives None or more
+    than the samples still due; the loop names the first bad or extra line.
     """
     parts = []
     seen = 0
@@ -172,8 +148,6 @@ def _read_body(fh, lineno: int, count: int) -> np.ndarray:
         text = "".join(block)
         part = _parse_samples(text.encode("ascii")) if text.isascii() else None
         if part is None or len(part) > count - seen:
-            part = _loadtxt_body(block, count - seen)
-        if part is None:
             part = _loop_body(_payload_lines(block, lineno + 1), seen, count)
         if len(part):
             parts.append(part)
@@ -399,36 +373,61 @@ def _parse_samples(chunk: bytes) -> np.ndarray | None:
     """The ``(rows, 4)`` samples of a block of sample lines, or None.
 
     Each value is the one ``float`` gives.  A block is taken only when every
-    line is four comma-separated fields ending in "\\n", and every field
-    is ``-?D*[.D*]`` with a digit, at most 23 bytes, and at most 18 digit
-    positions, the point's included, from its first nonzero digit on.
-    Anything else, an exponent form included, and a value too close to a
-    tie to certify, is None: the reader's other tiers decide.
+    line is four comma-separated fields ending in "\\n".  The kernel takes a
+    field ``-?D*[.D*]`` with a digit, at most 23 bytes and 18 digit positions,
+    the point's included, from its first nonzero digit on; ``float`` reads
+    every other field, and each the kernel cannot certify.  A field that
+    ``float`` refuses or reads as non-finite makes the block None.
     """
-    # an exponent would fail the digit check: refuse it before the work
-    if not chunk.endswith(b"\n") or b"e" in chunk or b"E" in chunk:
+    if not chunk.endswith(b"\n"):
         return None
     buf = np.frombuffer(chunk, np.uint8)
-    # the bytes below '/': '-', '.' and separators, where every byte below
-    # '-' must be one
+    # the bytes below '/': separators, '-', '+' and '.'; any other fails the check
     marks = np.flatnonzero(buf < ord("/"))
     kind = buf[marks]
-    is_end = kind < ord("-")
+    is_end = (kind < ord("-")) & (kind != ord("+"))
     ends = marks.compress(is_end)
     if ends.size % 4 or not (kind.compress(is_end).reshape(-1, 4) == _LINE_SEPARATORS).all():
         return None
     starts = np.concatenate(([0], ends[:-1] + 1))
     negative = buf[starts] == ord("-")
-    is_point = kind == ord(".")
-    points = marks.compress(is_point)
-    owner = np.cumsum(is_end, dtype=np.int32).compress(is_point)  # the field of each point
-    # a field's second point stays among its digits and fails the digit check
-    code = np.zeros(ends.size, np.int64)
-    code[owner] = ends[owner] - points
     length = ends - starts
-    n = length - negative
-    if ((length > _FIELD - 1) | (n <= (code > 0))).any():
-        return None
+    refused = length > _FIELD - 1
+    # the digit check would refuse an exponent too, but through a mask per field
+    for letter in b"eE":
+        if letter in chunk:
+            refused[np.searchsorted(ends, np.flatnonzero(buf == letter))] = True
+    if 2 * np.count_nonzero(refused) > ends.size:  # the kernel would cost more than it saves
+        x = np.full(ends.size, np.nan)
+    else:
+        is_point = kind == ord(".")
+        owner = np.cumsum(is_end, dtype=np.int32).compress(is_point)  # the field of each point
+        # a field's second point stays among its digits and fails the digit check
+        code = np.zeros(ends.size, np.int64)
+        code[owner] = ends[owner] - marks.compress(is_point)
+        n = length - negative
+        if refused.any():  # no digits: the kernel leaves the field to float
+            n[refused] = code[refused] = 0
+        x = _decimal_values(chunk, ends, n, code)
+        sign = x.view(np.uint64)
+        sign |= negative.astype(np.uint64) << 63
+    others = np.flatnonzero(np.isnan(x))
+    if others.size:
+        if others.size == ends.size:  # every field: split the block once
+            texts = chunk.replace(b"\n", b",").split(b",")[:-1]
+        else:
+            texts = [chunk[a:b] for a, b in zip(starts[others].tolist(), ends[others].tolist())]
+        try:
+            x[others] = np.fromiter(map(float, texts), np.float64, others.size)
+        except ValueError:
+            return None
+        if not np.isfinite(x[others]).all():
+            return None
+    return x.reshape(-1, 4)
+
+
+def _decimal_values(chunk: bytes, ends, n, code) -> np.ndarray:
+    """|value| of each field ending at ``ends``, or NaN where it is not certified."""
     padded = np.frombuffer(bytes(_FIELD) + chunk, np.uint8)
     # overlapping: window i is padded[i:i + 24], the 24 bytes of the chunk
     # before offset i
@@ -437,14 +436,15 @@ def _parse_samples(chunk: bytes) -> np.ndarray | None:
     w ^= 0x3030303030303030
     w &= _DIGIT_MASKS.take(n * _FIELD + code, axis=0)
     if w.view(np.uint8).max() > 9:
-        return None
+        # eight nines make a field with a non-digit byte fail the next check
+        w[w.view(np.uint8).reshape(-1, _FIELD).max(axis=1) > 9] = 0x0909090909090909
     # eight digits per word, the first in the low byte: into pairs, then
     # the pairs into the number
     w = w * 10 + (w >> 8)
     w = ((w & 0xFF000000FF) * (100 + (1000000 << 32))
          + (w >> 16 & 0xFF000000FF) * (1 + (10000 << 32))) >> 32
-    if (w[:, 0] >= 100).any():
-        return None
+    bad = np.flatnonzero((w[:, 0] >= 100) | (n <= (code > 0)))
+    w[bad] = 0
     dw = (w[:, 0] * 10**16 + w[:, 1] * 10**8 + w[:, 2]).astype(np.int64)
     slot = _SLOT[code]
     d = dw - 9 * (dw // slot) * (slot // 10)
@@ -457,12 +457,9 @@ def _parse_samples(chunk: bytes) -> np.ndarray | None:
         fix = ((d[big] - p.astype(np.int64)).astype(np.float64) - e) / _POW10[j]
         margin = q * 2.0**-83  # 2**-31 to 2**-30 ulp of q
         r = q + (fix - margin)
-        if (r != q + (fix + margin)).any():
-            return None
-        x[big] = r
-    sign = x.view(np.uint64)
-    sign |= negative.astype(np.uint64) << 63
-    return x.reshape(-1, 4)
+        x[big] = np.where(r == q + (fix + margin), r, np.nan)
+    x[bad] = np.nan
+    return x
 
 
 def _check_mapping(mapping: str):

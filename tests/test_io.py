@@ -13,7 +13,6 @@ from dqqpft.io import (
     PpmError,
     QcsvError,
     _format_samples,
-    _loadtxt_body,
     _loop_body,
     _parse_samples,
     read_image_ppm,
@@ -21,6 +20,7 @@ from dqqpft.io import (
     write_image_ppm,
     write_qcsv,
 )
+from dqqpft.fast import forward_fast, make_plan
 from dqqpft.params import format_param_pair, preset_qft
 from dqqpft.signal import QSignal2D
 from dqqpft.transform import make_config
@@ -236,40 +236,60 @@ def test_qcsv_roundtrip_is_bit_exact_at_96x250(tmp_path):
     write_qcsv(path, sig, cfg)
     back, _ = read_qcsv(path)
     np.testing.assert_array_equal(back.comps, sig.comps)
-    # numpy.loadtxt parses this body, to the same values as the line loop
-    body = path.read_text().splitlines()[4:]
-    fast = _loadtxt_body(body, 96 * 250)
-    assert fast is not None
-    np.testing.assert_array_equal(fast, _loop_body(enumerate(body, start=5), 0, 96 * 250))
-    # every read block of this body holds exponents, and the decimal kernel
-    # refuses it; the body's exponent-free values, four to a line, are a
-    # block it takes, to the values the loop gives
+    assert_blocks_read_as_the_loop_reads_them(path.read_text().splitlines()[4:])
+
+
+def assert_blocks_read_as_the_loop_reads_them(body):
+    """``_parse_samples`` takes each 4096-line block of ``body``, every one
+    holding exponent forms, to the bits the line loop gives."""
     for start in range(0, len(body), 4096):
         block = body[start:start + 4096]
         assert any("e" in line for line in block)
-        assert _parse_samples("".join(line + "\n" for line in block).encode("ascii")) is None
-    plain = [v for line in body for v in line.split(",") if "e" not in v]
-    plain = plain[:len(plain) // 4 * 4]
-    assert len(plain) >= 400
-    plain_lines = [",".join(plain[i:i + 4]) for i in range(0, len(plain), 4)]
-    kernel = _parse_samples("".join(line + "\n" for line in plain_lines).encode("ascii"))
-    assert kernel is not None
-    expected = _loop_body(enumerate(plain_lines), 0, len(plain_lines))
-    np.testing.assert_array_equal(kernel.view(np.int64), expected.view(np.int64))
+        kernel = _parse_samples("".join(line + "\n" for line in block).encode("ascii"))
+        assert kernel is not None
+        expected = _loop_body(enumerate(block), 0, len(block))
+        np.testing.assert_array_equal(kernel.view(np.int64), expected.view(np.int64))
 
 
-def assert_kernel_exact_or_refused(texts):
-    """The kernel on one line per text, ``text,1,-1,0``: each line's value
-    equals ``float(text)`` bit for bit, or the line is refused.  Returns
-    the texts taken."""
-    taken = []
+def smooth_spectrum(n):
+    """The ``qft`` spectrum of the smooth n×n image R, G, B = 255·x, 255·y,
+    255·x·y, rounded: a few of its values in most blocks lie below 1e-4."""
+    y, x = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n), indexing="ij")
+    comps = np.zeros((n, n, 4))
+    comps[..., 1:] = np.rint(255.0 * np.stack([x, y, x * y], axis=-1))
+    cfg = make_config(*preset_qft(), n, n)
+    return forward_fast(QSignal2D(comps), make_plan(cfg)), cfg
+
+
+def test_smooth_spectrum_blocks_are_read_as_the_loop_reads_them(tmp_path):
+    spec, cfg = smooth_spectrum(128)
+    path = tmp_path / "spec.qcsv"
+    write_qcsv(path, spec, cfg)
+    assert_blocks_read_as_the_loop_reads_them(path.read_text().splitlines()[4:])
+
+
+def test_qcsv_body_printed_as_savetxt_prints_is_read_to_the_bits_of_float(tmp_path):
+    # numpy.savetxt's default %.18e: 19 digits and 25-byte fields, each with an exponent
+    rng = np.random.default_rng(18)
+    lines = [",".join("%.18e" % v for v in row)
+             for row in wide_range_comps(rng, 50, 100).reshape(-1, 4).tolist()]
+    assert max(len(v) for line in lines for v in line.split(",")) >= 25
+    path = tmp_path / "spec18.qcsv"
+    path.write_text("50,100\n1,1\n0,1,0,0,0:0,1,0,0,0\n" + "".join(line + "\n" for line in lines))
+    sig, _ = read_qcsv(path)
+    expected = np.array([[float(v) for v in line.split(",")] for line in lines])
+    np.testing.assert_array_equal(sig.comps.reshape(-1, 4).view(np.int64), expected.view(np.int64))
+    assert_blocks_read_as_the_loop_reads_them(lines)
+
+
+def assert_read_as_float(texts):
+    """``_parse_samples`` on one line per text, ``text,1,-1,0``: each line's
+    value equals ``float(text)`` bit for bit."""
     for text in texts:
         values = _parse_samples(f"{text},1,-1,0\n".encode("ascii"))
-        if values is not None:
-            expected = np.array([float(text), 1.0, -1.0, 0.0])
-            np.testing.assert_array_equal(values.ravel().view(np.int64), expected.view(np.int64))
-            taken.append(text)
-    return taken
+        assert values is not None, text
+        expected = np.array([float(text), 1.0, -1.0, 0.0])
+        np.testing.assert_array_equal(values.ravel().view(np.int64), expected.view(np.int64))
 
 
 def fixed_notation(text):
@@ -279,22 +299,40 @@ def fixed_notation(text):
 
 # the bit patterns of 1e-7 to 1e20: more digits than the kernel takes at both ends
 PRINTED_BITS = (int(np.float64(1e-7).view(np.int64)), int(np.float64(1e20).view(np.int64)))
+# every finite double's bits: zero, subnormals, and |v| >= 1e17 printed with e+NN
+FINITE_BITS = (0, int(np.float64(np.finfo(np.float64).max).view(np.int64)))
+# %.{1..17}g, %.{0..18}e, repr and the writer's own text
+PRINTED_FORMS = ([f"%.{d}g" for d in range(1, 18)] + [f"%.{d}e" for d in range(19)]
+                 + ["repr", "writer"])
+
+
+def printed(v, form, fixed):
+    """``v`` printed in ``form``, its exponent written out if ``fixed``."""
+    if form == "repr":
+        text = repr(v)
+    elif form == "writer":
+        text = _format_samples(np.array([[v, 0.0, 0.0, 0.0]])).split(b",")[0].decode("ascii")
+    else:
+        text = form % v
+    return fixed_notation(text) if fixed else text
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(st.integers(*PRINTED_BITS), st.integers(1, 17), st.booleans()),
+@given(st.lists(st.tuples(st.one_of(st.integers(*PRINTED_BITS), st.integers(*FINITE_BITS)),
+                          st.sampled_from(PRINTED_FORMS), st.booleans(), st.booleans()),
                 min_size=1, max_size=32))
 def test_decimal_kernel_is_exact_or_refuses(draws):
+    # forms mixed within one block: the kernel's values and float's, side by side
     texts = []
-    for bits, digits, negative in draws:
+    for bits, form, fixed, negative in draws:
         v = float(np.int64(bits).view(np.float64))
-        texts.append(fixed_notation(f"%.{digits}g" % (-v if negative else v)))
+        texts.append(printed(-v if negative else v, form, fixed))
     texts += ["0"] * (-len(texts) % 4)
     lines = [",".join(texts[i:i + 4]) for i in range(0, len(texts), 4)]
     values = _parse_samples("".join(line + "\n" for line in lines).encode("ascii"))
-    if values is not None:
-        expected = np.array([[float(v) for v in line.split(",")] for line in lines])
-        np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
+    assert values is not None
+    expected = np.array([[float(v) for v in line.split(",")] for line in lines])
+    np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
 
 
 def near_half_way_points(digits):
@@ -326,19 +364,20 @@ DECIMAL_HARD_CASES = [
     "0.00012345678901234567", "-0.00012345678901234567", "-0.000123456789012345678",
     "-0.000000000000000000001", ".0000000000000000000001", "-1234567890.1234567890",
 ]
-NOT_NUMERALS = [".", "-", "--1", "1.2.3", "-.", "", "+1", "1-", " 1", "1e5", "0x10", "1_0"]
+# numerals the kernel leaves to float, which takes them
+FLOAT_NUMERALS = ["+1", "1e5", "1_0"]
+NOT_NUMERALS = [".", "-", "--1", "1.2.3", "-.", "", "1-", " 1", "0x10"]
 
 
 def test_decimal_kernel_hard_cases():
-    taken = assert_kernel_exact_or_refused(DECIMAL_HARD_CASES)
-    assert {"5.", ".5", "-.5", "0", "-0", "-0.0", "-0.00012345678901234567"} <= set(taken)
-    assert not {"9007199254740993", "9007199254740993.0", "18014398509481986"} & set(taken)
-    # at 17 digits only the exact half-way points are refused; at 18 a point
-    # inside the numeral makes it 19 positions, refused too
+    # the exact ties and the 19- and 20-digit texts are left to float
+    assert_read_as_float(DECIMAL_HARD_CASES + FLOAT_NUMERALS)
+    # 17 digits near a half-way point, the exact ties among them; at 18 a
+    # point inside the numeral makes 19 positions, left to float too
     near, ties = near_half_way_points(17)
     assert len(ties) > 5 and len(near) > len(ties) + 50
-    assert assert_kernel_exact_or_refused(near) == [t for t in near if t not in ties]
-    assert_kernel_exact_or_refused(near_half_way_points(18)[0])
+    assert_read_as_float(near)
+    assert_read_as_float(near_half_way_points(18)[0])
     for text in NOT_NUMERALS:
         assert _parse_samples(f"{text},1,-1,0\n".encode("ascii")) is None, text
 
@@ -379,7 +418,7 @@ def test_qcsv_cr_only_body_is_read_with_its_line_numbers(tmp_path):
     assert err.value.line == 6
 
 
-def test_qcsv_block_with_one_exponent_is_read_as_loadtxt_reads_it(tmp_path):
+def test_qcsv_block_with_one_exponent_is_read_as_the_loop_reads_it(tmp_path):
     rng = np.random.default_rng(17)
     values = np.round(rng.uniform(-100.0, 100.0, (64 * 64, 4)), 6)
     lines = [",".join(repr(v) for v in row) for row in values.tolist()]
@@ -388,9 +427,8 @@ def test_qcsv_block_with_one_exponent_is_read_as_loadtxt_reads_it(tmp_path):
     path.write_text("64,64\n1,1\n0,1,0,0,0:0,1,0,0,0\n" + "".join(line + "\n" for line in lines))
     with open(path) as fh:
         block = list(islice(fh, 3, None))
-    assert len(block) == 4096 and _parse_samples("".join(block).encode("ascii")) is None
-    expected = _loadtxt_body(block, 4096)
-    assert expected is not None
+    assert len(block) == 4096 and _parse_samples("".join(block).encode("ascii")) is not None
+    expected = _loop_body(enumerate(block), 0, 4096)
     np.testing.assert_array_equal(expected[1000], [1.5e-05, -2500.0, 0.0, 1.0])
     sig, _ = read_qcsv(path)
     np.testing.assert_array_equal(sig.comps.reshape(-1, 4).view(np.int64), expected.view(np.int64))

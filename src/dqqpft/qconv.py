@@ -5,15 +5,17 @@ time chirps exp(-2i*a1*z1*(z1-x1)*dt1^2) on the left of f and
 exp(-2j*a2*z2*(z2-x2)*dt2^2) on the right of g, which is exactly what
 makes the cross terms of the transform kernels cancel.  ``qp_convolve``
 evaluates that sum in full, O((N1*N2)^2) flops in O(N1*N2) memory: a
-loop over column blocks min(N2, 2*N1) wide, the widest for which no
-buffer holds more than 4*N1*N2 complex entries, and over output rows,
-each step one complex matrix product on the component array read as
-complex pairs.  A unit impulse as either operand still reproduces the
-other bit for bit (see its docstring).  The companion factorisation
-(``conv_theorem_rhs``) holds as an equality only in a restricted regime
-(time chirps N-periodic, f in the i-complex subfield, the spectrum of g
-real); ``conv_theorem_check`` therefore reports deviations instead of
-enforcing them.
+loop over column blocks min(N2, 2*N1) wide and, within each, over chunks
+of min(N1, 4*N2) output rows, the widest for which no buffer holds more
+than 4*N1*N2 complex entries.  A chunk evaluates its left chirp as one
+table; each of its rows is then one complex matrix product on the
+component array read as complex pairs and one write into the output
+(one add, in blocks after the first).  A unit impulse as either operand
+still reproduces the other bit for bit (see its docstring).  The
+companion factorisation (``conv_theorem_rhs``) holds as an equality only
+in a restricted regime (time chirps N-periodic, f in the i-complex
+subfield, the spectrum of g real); ``conv_theorem_check`` therefore
+reports deviations instead of enforcing them.
 """
 
 from __future__ import annotations
@@ -76,11 +78,15 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     every step as the same matrix, and the rows of f as one contiguous
     window of a copy reversed and doubled once per call.  The right chirp
     then weights each partial sum S[m, z2] and ``np.bincount`` adds it
-    into column (z2 + m) mod N2.  Blocks are min(N2, 2*N1) columns wide,
+    into column (z2 + m) mod N2; the first block writes the row of the
+    output and later blocks add to it.  Blocks are min(N2, 2*N1) columns
+    wide and the left chirp is built for min(N1, 4*N2) rows at a time,
     the widest for which no buffer holds more than 4*N1*N2 complex
-    entries: the block of g holds 4*N1*width, S holds 2*width*N2 and the
-    doubled f 4*N1*N2.  Both chirps are evaluated per element from the
-    same phase expression at every (z, x), whatever the order.  With a
+    entries: the block of g holds 4*N1*width, S holds 2*width*N2, the
+    doubled f 4*N1*N2 and the chirp table N1 per row.  So when blocks
+    split N2 one chunk holds every row, and when chunks split N1 one
+    block holds every column.  Both chirps are evaluated per element from
+    the same phase expression at every (z, x), whatever the order.  With a
     unit impulse as either operand every sum has one nonzero term,
     weighted by exactly cos(0) = 1 and sin(0) = 0, and every other term
     is an exact zero, so the result reproduces the other operand bit for
@@ -97,10 +103,11 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     gp = g.comps.view(np.complex128)
     # reversed and doubled: the n1 rows from n1-1-x1 on are z1 = (x1 - k) mod n1
     frev = np.concatenate((fp[::-1], fp[::-1]))
-    zrev = np.tile(np.arange(n1)[::-1], 2)
     lhs = np.empty((n1, 2, n2), np.complex128)
-    out = np.zeros((n1, n2, 4))
+    lhs2 = lhs.reshape(2 * n1, n2)
+    out = np.empty((n1, n2, 4))
     width = min(n2, 2 * n1)
+    chunk = min(n1, 4 * n2)
     for m0 in range(0, n2, width):
         w = min(width, n2 - m0)
         x2 = (np.arange(m0, m0 + w)[:, None] + z2) % n2
@@ -118,23 +125,31 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
         gb[:, 0, 0], gb[:, 0, 1] = gt, gu
         np.negative(gu.conj(), out=gb[:, 1, 0])
         np.conjugate(gt, out=gb[:, 1, 1])
-        gb = gb.reshape(2 * n1, 2 * w)
+        gbt = gb.reshape(2 * n1, 2 * w).T
         st = np.empty((2 * w, n2), np.complex128)
         sf = st.view(np.float64).reshape(2, w, 2 * n2)
         terms = np.empty_like(sf)
-        for x1 in range(n1):
-            rows = slice(n1 - 1 - x1, 2 * n1 - 1 - x1)
-            z1 = zrev[rows]
+        weights = terms.reshape(-1)
+        for r0 in range(0, n1, chunk):
+            # the left chirp of rows x1 in [r0, r0 + chunk) at z1 = (x1 - k) mod n1
+            x1 = np.arange(r0, min(r0 + chunk, n1))[:, None]
+            z1 = (x1 - np.arange(n1)) % n1
             th1 = 2.0 * a1 * z1 * (z1 - x1) * dt1sq
-            alpha = np.cos(th1) - 1j * np.sin(th1)
-            np.multiply(alpha[:, None, None], frev[rows], out=lhs)
-            np.matmul(gb.T, lhs.reshape(2 * n1, n2), out=st)
-            # (c*S_t + s*S_u, c*S_u - s*S_t), by way of sf = (-s*S_t, s*S_u)
-            np.multiply(c, sf, out=terms)
-            sf *= s
-            terms += sf[::-1]
-            out[x1] += np.bincount(bins, weights=terms.ravel(),
-                                   minlength=4 * n2).reshape(n2, 4)
+            alphas = (np.cos(th1) - 1j * np.sin(th1))[:, :, None, None]
+            for x, alpha in enumerate(alphas, r0):
+                np.multiply(alpha, frev[n1 - 1 - x:2 * n1 - 1 - x], out=lhs)
+                np.matmul(gbt, lhs2, out=st)
+                # (c*S_t + s*S_u, c*S_u - s*S_t), by way of sf = (-s*S_t, s*S_u)
+                np.multiply(c, sf, out=terms)
+                sf *= s
+                terms += sf[::-1]
+                row = np.bincount(bins, weights, 4 * n2).reshape(n2, 4)
+                # the first block writes the row; bincount never sums to -0.0,
+                # so this is the bits of 0.0 + row
+                if m0:
+                    out[x] += row
+                else:
+                    out[x] = row
     return QSignal2D._adopt(out)
 
 

@@ -79,7 +79,8 @@ class TransformConfig:
     """Parameter pair, grid and kernel placement for one transform.
 
     ``du1``/``du2`` are the frequency steps derived from b, N and dt.  A
-    pair whose kernel phase or dt^2 overflows on either axis is refused.
+    pair whose kernel phase, dt^2 or convolution chirp overflows on either
+    axis is refused.
     """
 
     p1: ParamSet
@@ -206,12 +207,15 @@ def _axis_phase(p: ParamSet, n: int, dt: float, xi, w) -> np.ndarray:
 
 
 def _axis_step(p: ParamSet, n: int, dt: float, axis: str) -> None:
-    """Refuse an axis whose dt^2 or kernel phase overflows float64.
+    """Refuse an axis whose dt^2, kernel phase or convolution chirp overflows float64.
 
     dt^2 enters ``qp_convolve`` even where a = 0 keeps it out of the phase.
     The time and frequency terms grow with x and w and the DFT term stays
     below 2*pi, so the phase is finite on the axis if it is at
-    x = w = n - 1, where an infinite du reads as NaN.
+    x = w = n - 1, where an infinite du reads as NaN.  Each partial
+    product of ``qp_convolve``'s chirp 2.0*a*z*(z - x)*dt^2 is largest
+    at z = n - 1, x = 0, evaluated here in the same order; at n = 1 an
+    infinite 2.0*a times z = 0 reads as NaN.
     """
     if not math.isfinite(dt * dt):
         raise ParameterError(f"{axis}: dt={dt!r} squared overflows float64")
@@ -219,6 +223,10 @@ def _axis_step(p: ParamSet, n: int, dt: float, axis: str) -> None:
     if not np.isfinite(_axis_phase(p, n, dt, n - 1, n - 1)):
         raise ParameterError(f"{axis}: kernel phase overflows float64 at N={n}, "
                              f"dt={dt!r}, du={du!r}")
+    a = float(p.a)
+    if not math.isfinite(2.0 * a * (n - 1) * (n - 1) * (dt * dt)):
+        raise ParameterError(f"{axis}: convolution chirp overflows float64 at N={n}, "
+                             f"a={a!r}, dt={dt!r}")
 
 
 def _kernel_matrix(p: ParamSet, n: int, dt: float) -> np.ndarray:

@@ -8,7 +8,7 @@ import dqqpft.cli
 import dqqpft.qconv
 from dqqpft.cli import main
 from dqqpft.io import QcsvError, read_image_ppm, read_qcsv, write_image_ppm, write_qcsv
-from dqqpft.params import ParameterError, parse_param_pair, parse_preset, preset_qft
+from dqqpft.params import ParameterError, ParamSet, parse_param_pair, parse_preset, preset_qft
 from dqqpft.qconv import conv_theorem_check, qp_convolve
 from dqqpft.signal import QSignal2D, rel_deviation
 from dqqpft.transform import make_config
@@ -371,6 +371,37 @@ def test_conv_with_overflowing_step_square_exits_2_for_a_flag_and_3_for_a_header
     lines = captured.err.splitlines()
     assert len(lines) == 2 and all(line.startswith("error: axis 1: ") for line in lines)
     assert not out.exists()
+
+
+def test_conv_with_overflowing_chirp_exits_2_for_a_flag_and_3_for_a_header(
+        tmp_path, capsys):
+    # the kernel phase 3e307*2^2 is finite on a 3x5 grid, the convolution
+    # chirp 2*3e307*2*2 is not; the suite turns any RuntimeWarning into an error
+    pair = "3e307,1,0,0,0:0,1,0,0,0"
+    spec = tmp_path / "spec.qcsv"
+    write_qcsv(spec, QSignal2D.from_real(np.arange(15.0).reshape(3, 5)),
+               make_config(*preset_qft(), 3, 5))
+    out = tmp_path / "c.qcsv"
+    assert main(["conv", "--params", pair, "--in", str(spec), "--in2", str(spec),
+                 "--out", str(out)]) == 2
+    bad = tmp_path / "huge_a.qcsv"
+    header_and_body = spec.read_text().split("\n")
+    header_and_body[3] = pair
+    bad.write_text("\n".join(header_and_body))
+    flag_err = capsys.readouterr().err
+    assert main(["conv", "--in", str(bad), "--in2", str(bad), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for err in (flag_err, captured.err):
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: axis 1: ")
+        assert "convolution chirp" in lines[0]
+    assert not out.exists()
+    with pytest.raises(ParameterError, match="axis 1"):
+        make_config(*parse_param_pair(pair), 3, 5)
+    # at N1 = 1 the chirp is 2*a*0*0, which reads inf*0 = NaN once 2*a overflows
+    with pytest.raises(ParameterError, match="axis 1"):
+        make_config(ParamSet(1e308, 1.0, 0.0, 0.0, 0.0), ParamSet(0.0, 1.0, 0.0, 0.0, 0.0), 1, 5)
 
 
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-7"]])

@@ -398,7 +398,9 @@ HEADER_2X2 = "2,2\n1,1\n0,1,0,0,0:0,1,0,0,0\n"  # samples start on line 4
     "10,0,0,0\r\n2,0,0,0\r\n3,0,0,0\r\n4,0,0,0\r\n",
     "10,0,0,0\n2,0,0,0\n# mid-body comment\n\n3,0,0,0\n4,0,0,0\n",
 ], ids=["underscore-digits", "crlf", "comment-and-blank-line"])
-def test_qcsv_bodies_outside_loadtxt_are_accepted(tmp_path, body):
+def test_qcsv_bodies_taken_by_float_the_kernel_and_the_line_loop_are_accepted(tmp_path, body):
+    # "1_0" is read by float in place, the CRLF body by the kernel once text
+    # mode turns "\r\n" into "\n", and the mid-body comment by the line loop
     path = tmp_path / "ok.qcsv"
     path.write_bytes((HEADER_2X2 + body).encode("ascii"))
     sig, _ = read_qcsv(path)

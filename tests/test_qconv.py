@@ -67,8 +67,10 @@ def test_chirped_convolution_matches_scalar_oracle():
 
 
 # blocks are min(N2, 2*N1) columns wide: 2x251 splits into 63 blocks of
-# width 4, the last one 3 wide, and 3x20 into blocks of width 6, 6, 6 and 2
-BLOCK_SHAPES = [(32, 48), (48, 32), (13, 17), (1, 17), (17, 1), (2, 251), (3, 20)]
+# width 4, the last one 3 wide, and 3x20 into blocks of width 6, 6, 6 and 2;
+# the left chirp is built for min(N1, 4*N2) rows at a time: 9x2 splits its
+# rows into chunks of 8 and 1, and 17x1 into four of 4 and one of 1
+BLOCK_SHAPES = [(32, 48), (48, 32), (13, 17), (1, 17), (17, 1), (2, 251), (3, 20), (9, 2)]
 
 
 @pytest.mark.parametrize("n1,n2", BLOCK_SHAPES)

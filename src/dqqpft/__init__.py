@@ -37,7 +37,6 @@ from .quaternion import (
     K,
     ONE,
     Quaternion,
-    embed_complex,
     qconj,
     qmul,
     qnorm_sq,

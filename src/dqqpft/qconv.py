@@ -167,7 +167,7 @@ def conv_theorem_rhs(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSigna
     units = np.eye(4)
     acc = np.zeros((g1, g2, 4))
     for n in range(4):
-        comp = QSignal2D.from_real(f.comps[..., n])
+        comp = QSignal2D.from_components(f.comps[..., n])
         qn = forward_fast(comp, plan).comps
         acc = acc + qmul(qmul(units[n], qn), qg)
     psi_i = _freq_chirp(cfg.p1, g1, cfg.grid.dt1, +1) * math.sqrt(g1 * g2)

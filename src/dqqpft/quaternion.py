@@ -25,7 +25,6 @@ __all__ = [
     "I",
     "J",
     "K",
-    "embed_complex",
     "qmul",
     "qconj",
     "qnorm_sq",
@@ -94,11 +93,6 @@ ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def embed_complex(c: complex) -> Quaternion:
-    """Embed an i-complex number as the quaternion (re, im, 0, 0)."""
-    return Quaternion(c.real, c.imag, 0.0, 0.0)
 
 
 def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -105,11 +105,6 @@ class QSignal2D:
         return cls(np.stack(parts, axis=-1))
 
     @classmethod
-    def from_real(cls, arr) -> "QSignal2D":
-        """Lift a real array into the scalar (w) component."""
-        return cls.from_components(arr)
-
-    @classmethod
     def from_symplectic(cls, t, h) -> "QSignal2D":
         """Assemble from the complex pair q = t + j*h."""
         t = np.asarray(t, dtype=np.complex128)

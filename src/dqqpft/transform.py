@@ -11,7 +11,9 @@ with per-axis phases
 
 The bracketed time and frequency sides are written once, in
 ``_time_phase`` and ``_freq_phase``; every kernel, chirp and identity
-phase correction here is built from those two.
+phase correction here is built from those two, save the translation
+identity's inner chirp 2*a*x*k*dt^2, which goes through the same
+double-double ``_quad_phase``.
 
 The time side grows as a*(N*dt)^2, so a float64 evaluation loses
 O(N^2 * eps) rad: up to 3e-7 rad at N = 16384 with |a| <= 2 and dt <= 2.
@@ -445,7 +447,8 @@ def translation_rhs(f: QSignal2D, cfg: TransformConfig, k1: int, k2: int) -> QSi
     inner, outer = [], []
     for (p, n, dt), k in zip(_axes(cfg), (k1, k2)):
         x = np.arange(n)
-        inner.append(np.exp(-2j * p.a * x * k * dt ** 2))
+        inner.append(np.exp(-1j * _mod_2pi(
+            _quad_phase(0.0, 2.0 * p.a, x * k, _two_product(dt, dt)))))
         outer.append(np.exp(-1j * _mod_2pi(_time_phase(p, k, dt),
                                             ((2.0 * math.pi / n) * (k * x % n), 0.0))))
     T = forward_direct(QSignal2D._adopt(_pointwise_sandwich(f.comps, *inner)), cfg)
@@ -467,6 +470,6 @@ def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSi
     for every signal, not only for signals without a k component.
     """
     _check_identity(f, cfg, "conjugate decomposition")
-    q = [forward_direct(QSignal2D.from_real(f.comps[..., n]), cfg).comps for n in range(4)]
+    q = [forward_direct(QSignal2D.from_components(f.comps[..., n]), cfg).comps for n in range(4)]
     i, j = I.to_array(), J.to_array()
     return QSignal2D._adopt(q[0] - qmul(i, q[1]) - qmul(q[2], j) - qmul(i, qmul(q[3], j)))

@@ -3,11 +3,10 @@
 Every property draws its own inputs from one seeded generator, measures
 a worst-case deviation and compares it against a pinned tolerance.
 Identities that are only conjectural in general (the convolution
-factorisation outside its verified regime, the single-grid recombination
-shortcut, chirped circular translations) are reported as diagnostics:
-their deviations are printed but never counted as failures.  The
-conjugate decomposition is an exact identity on every signal and is
-asserted.
+factorisation outside its verified regime, chirped circular translations)
+are reported as diagnostics: their deviations are printed but never
+counted as failures.  The conjugate decomposition is an exact identity
+on every signal and is asserted.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 from .fast import _fft2_raw, dqft2_via_fft, dqpft_1d, forward_fast, inverse_fast, make_plan
 from .params import ParamSet, _freq_step, preset_qfrft, preset_qft, preset_qlct
 from .qconv import conv_theorem_check, qp_convolve
-from .quaternion import J, Quaternion, embed_complex, qmul
+from .quaternion import J, Quaternion
 from .signal import QSignal2D, max_deviation, rel_deviation
 from .transform import (
     LEFT_SIDED,
@@ -178,8 +177,8 @@ def _quaternion_algebra(rng, results):
         s0 = (p * q * r).w
         dev_cyc = max(dev_cyc, abs(s0 - (r * p * q).w), abs(s0 - (q * r * p).w))
         c = complex(*rng.uniform(-2, 2, size=2))
-        lhs = embed_complex(c) * J
-        rhs = J * embed_complex(c.conjugate())
+        lhs = Quaternion(c.real, c.imag) * J
+        rhs = J * Quaternion(c.real, -c.imag)
         dev_embed = max(dev_embed, (lhs - rhs).norm())
     results.append(PropertyResult("quaternion-norm-multiplicative", dev_norm, 1e-12))
     results.append(PropertyResult("quaternion-cyclic-scalar", dev_cyc, 1e-12))
@@ -425,7 +424,7 @@ def _convolution_checks(rng, results):
         comps = rng.uniform(-1, 1, size=(n1, n2, 4))
         comps[..., 2:] = 0.0
         f = QSignal2D(comps)  # i-complex subfield
-        g = inverse_direct(QSignal2D.from_real(rng.uniform(-1, 1, size=(n1, n2))), cfg)
+        g = inverse_direct(QSignal2D.from_components(rng.uniform(-1, 1, size=(n1, n2))), cfg)
         dev_fact = max(dev_fact, conv_theorem_check(f, g, cfg).max_rel_deviation)
 
         cfg2 = _rand_cfg(rng, n1, n2)
@@ -437,47 +436,14 @@ def _convolution_checks(rng, results):
         note="outside the verified regime the factorisation is not asserted"))
 
 
-def _reflect(x: np.ndarray, axis: int) -> np.ndarray:
-    """Index map w -> (-w) mod N along one axis."""
-    n = x.shape[axis]
-    return np.take(x, (n - np.arange(n)) % n, axis=axis)
-
-
-def _mixed_axis_grid(psi_tilde_fft: np.ndarray, psi_hat_fft: np.ndarray) -> QSignal2D:
-    """Quaternion grid FFT[tilde] + j * FFT[hat](-w1, w2) from the two FFTs."""
-    return QSignal2D.from_symplectic(psi_tilde_fft, _reflect(psi_hat_fft, 0))
-
-
-def _alt_dqft2(psi: QSignal2D) -> QSignal2D:
-    """Single-grid recombination shortcut for the two-sided DFT.
-
-    Forms the mixed-axis grid Psi from the two component FFTs and returns
-    ((1 - k) * Psi[w1, w2] + (1 + k) * Psi[w1, -w2]) / 2.  This textbook
-    shortcut is not equivalent in general to the unnormalised two-sided
-    DFT, ``sqrt(N1*N2) * _qft_oracle``; it exists only so its deviation
-    can be measured, never to compute.
-    """
-    t, h = psi.to_symplectic()
-    c = _mixed_axis_grid(_fft2_raw(t, -1, -1), _fft2_raw(h, -1, -1)).comps
-    cr = _reflect(c, 1)
-    one_minus_k = Quaternion(1.0, 0.0, 0.0, -1.0).to_array()
-    one_plus_k = Quaternion(1.0, 0.0, 0.0, 1.0).to_array()
-    return QSignal2D(0.5 * (qmul(one_minus_k, c) + qmul(one_plus_k, cr)))
-
-
 def _fast_internals(rng, results):
     dev = 0.0
-    dev_alt = 0.0
     for _ in range(30):
         n1, n2 = (int(v) for v in rng.integers(2, 17, size=2))
         psi = _rand_signal(rng, n1, n2)
         ref = _qft_oracle(psi) * math.sqrt(n1 * n2)
         dev = max(dev, rel_deviation(dqft2_via_fft(psi), ref))
-        dev_alt = max(dev_alt, rel_deviation(_alt_dqft2(psi), ref))
     results.append(PropertyResult("dqft2-via-fft-vs-direct", dev, 1e-10))
-    results.append(PropertyResult(
-        "alt-recombination", dev_alt, None,
-        note="single-grid recombination shortcut, shipped for measurement only"))
 
 
 def _sided_agreement(rng, results):
@@ -485,7 +451,7 @@ def _sided_agreement(rng, results):
     for _ in range(12):
         n1, n2 = (int(v) for v in rng.integers(2, 9, size=2))
         base = _rand_cfg(rng, n1, n2)
-        f = QSignal2D.from_real(rng.uniform(-1, 1, size=(n1, n2)))
+        f = QSignal2D.from_components(rng.uniform(-1, 1, size=(n1, n2)))
         ref = forward_direct(f, base)
         for side in (LEFT_SIDED, RIGHT_SIDED):
             cfg = make_config(base.p1, base.p2, n1, n2, base.grid.dt1, base.grid.dt2, side)

@@ -60,7 +60,7 @@ def test_criterion_01_example_reproduction():
     p1, p2 = preset_qft()
     cfg = make_config(p1, p2, 2, 2, 1.0, 1.0)
     plan = make_plan(cfg)
-    f = QSignal2D.from_real(EXAMPLE_IN)
+    f = QSignal2D.from_components(EXAMPLE_IN)
     want = np.array(EXAMPLE_OUT)
     for runner in (lambda: forward_direct(f, cfg), lambda: forward_fast(f, plan)):
         F = runner()  # warm-up, also the correctness check
@@ -102,8 +102,8 @@ def test_criterion_04_energy_preservation(corpus):
         worst = max(worst, abs(forward_direct(f, cfg).energy() - ef) / ef)
     assert worst <= 1e-10, f"energy drift {worst:.3e}"
     # worked example: 3150 on both sides of the transform
-    assert QSignal2D.from_real(EXAMPLE_IN).energy() == 3150.0
-    assert QSignal2D.from_real(EXAMPLE_OUT).energy() == 3150.0
+    assert QSignal2D.from_components(EXAMPLE_IN).energy() == 3150.0
+    assert QSignal2D.from_components(EXAMPLE_OUT).energy() == 3150.0
     # the 1/(N1*N2)-scaled reading of the energy identity does not hold:
     # the measured ratio is 1, as verify's energy-preservation asserts
     _pass(4, "spectrum energy equals signal energy", f"max rel drift {worst:.2e}")
@@ -230,7 +230,7 @@ def test_criterion_08_convolution():
         comps = rng.uniform(-1, 1, size=(n1, n2, 4))
         comps[..., 2:] = 0.0
         fc = QSignal2D(comps)
-        g = inverse_direct(QSignal2D.from_real(rng.uniform(-1, 1, size=(n1, n2))), cfg)
+        g = inverse_direct(QSignal2D.from_components(rng.uniform(-1, 1, size=(n1, n2))), cfg)
         worst_fact = max(worst_fact, conv_theorem_check(fc, g, cfg).max_abs_deviation)
         free = rand_cfg(rng, n1, n2)
         diag = max(diag, conv_theorem_check(rand_signal(rng, n1, n2),

@@ -20,7 +20,7 @@ def example_qcsv(tmp_path):
     p1, p2 = preset_qft()
     cfg = make_config(p1, p2, 2, 2)
     path = tmp_path / "example2x2.qcsv"
-    write_qcsv(path, QSignal2D.from_real([[35.0, 30.0], [25.0, 20.0]]), cfg)
+    write_qcsv(path, QSignal2D.from_components([[35.0, 30.0], [25.0, 20.0]]), cfg)
     return path
 
 
@@ -379,7 +379,7 @@ def test_conv_with_overflowing_chirp_exits_2_for_a_flag_and_3_for_a_header(
     # chirp 2*3e307*2*2 is not; the suite turns any RuntimeWarning into an error
     pair = "3e307,1,0,0,0:0,1,0,0,0"
     spec = tmp_path / "spec.qcsv"
-    write_qcsv(spec, QSignal2D.from_real(np.arange(15.0).reshape(3, 5)),
+    write_qcsv(spec, QSignal2D.from_components(np.arange(15.0).reshape(3, 5)),
                make_config(*preset_qft(), 3, 5))
     out = tmp_path / "c.qcsv"
     assert main(["conv", "--params", pair, "--in", str(spec), "--in2", str(spec),
@@ -432,6 +432,13 @@ def test_measurement_helpers_stay_out_of_package_namespace():
     for name in ("make_psi", "dqft2_via_fft", "make_grid"):
         assert not hasattr(dqqpft, name)
     assert not {"make_psi", "dqft2_via_fft"} & set(dqqpft.fast.__all__)
+    # second names of the constructor and of from_components, and the
+    # recombination shortcut that verify once carried only to measure it
+    assert not hasattr(dqqpft, "embed_complex")
+    assert not hasattr(dqqpft.quaternion, "embed_complex")
+    assert not hasattr(dqqpft.QSignal2D, "from_real")
+    for name in ("_alt_dqft2", "_mixed_axis_grid"):
+        assert not hasattr(dqqpft.verify, name)
     rows = dqqpft.bench.run_bench(sizes=(4,), repeats=1)
     assert [row.size for row in rows] == [4]
     assert "4x4" in dqqpft.bench.format_table(rows)
@@ -446,6 +453,16 @@ def test_verify_deterministic_and_green(capsys):
     assert "RESULT PASS" in first
     assert "PROPERTY" in first and "DIAGNOSTIC" in first
     assert " FAIL " not in first
+
+
+def test_readme_quick_start_runs():
+    # a public name deleted from the package must not linger in the quick start
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert rel_deviation(namespace["F2"], namespace["F"]) < 1e-12
+    assert rel_deviation(namespace["back"], namespace["f"]) < 1e-12
 
 
 def test_readme_cli_examples_parse():

@@ -15,7 +15,7 @@ from dqqpft.fast import (
     make_psi,
 )
 from dqqpft.params import ParameterError
-from dqqpft.signal import QSignal2D, max_deviation, rel_deviation
+from dqqpft.signal import QSignal2D, rel_deviation
 from dqqpft.transform import (
     LEFT_SIDED,
     _modulation_rhs_of,
@@ -24,7 +24,7 @@ from dqqpft.transform import (
     make_config,
     modulated_signal,
 )
-from dqqpft.verify import _alt_dqft2, _mixed_axis_grid, _qft_oracle
+from dqqpft.verify import _qft_oracle
 from oracles import (
     EXAMPLE_IN,
     EXAMPLE_OUT,
@@ -70,7 +70,7 @@ def test_make_psi_real_signal_right_chirp_disabled():
     p2 = type(p1)(0.0, p1.b, p1.c, 0.0, p1.e)  # a2 = d2 = 0: right chirp is 1
     cfg = make_config(p1, p2, 4, 3)
     g = rng.uniform(-1, 1, size=(4, 3))
-    psi = make_psi(QSignal2D.from_real(g), make_plan(cfg))
+    psi = make_psi(QSignal2D.from_components(g), make_plan(cfg))
     # left chirp times a real signal stays in the i-complex subfield
     np.testing.assert_allclose(psi.comps[..., 2:], 0, atol=1e-15)
     xi = np.arange(4)
@@ -139,7 +139,7 @@ def test_dqft2_via_fft_delta():
 
 
 def test_dqft2_via_fft_worked_example():
-    got = dqft2_via_fft(QSignal2D.from_real(EXAMPLE_IN))
+    got = dqft2_via_fft(QSignal2D.from_components(EXAMPLE_IN))
     np.testing.assert_allclose(got.w, np.array(EXAMPLE_OUT) * 2, atol=1e-11)
 
 
@@ -154,7 +154,7 @@ def test_dqft2_via_fft_matches_direct():
 # --- full fast pipeline ------------------------------------------------------
 
 def test_forward_fast_worked_example():
-    F = forward_fast(QSignal2D.from_real(EXAMPLE_IN), make_plan(qft_cfg(2, 2)))
+    F = forward_fast(QSignal2D.from_components(EXAMPLE_IN), make_plan(qft_cfg(2, 2)))
     np.testing.assert_allclose(F.w, EXAMPLE_OUT, atol=1e-12)
     np.testing.assert_allclose(F.comps[..., 1:], 0, atol=1e-12)
 
@@ -346,26 +346,3 @@ def test_identities_hold_on_the_fast_path_at_large_grids(n1, n2):
     lhs = forward_fast(modulated_signal(f, eps1, eps2), plan)
     assert rel_deviation(lhs, _modulation_rhs_of(F, cfg, eps1, eps2)) <= 1e-14
 
-
-# --- diagnostic recombination ------------------------------------------------
-
-def test_alt_recombination_collapses_for_axis2_even_real_signal():
-    # real input, even in the second axis: the reflected grid equals the
-    # grid itself and the shortcut collapses to the mixed-axis grid
-    rng = np.random.default_rng(10)
-    base = rng.uniform(-1, 1, size=(4, 3))
-    even = np.concatenate([base, base[:, 1:][:, ::-1]], axis=1)  # n2 = 5, even
-    psi = QSignal2D.from_real(even)
-    t, h = psi.to_symplectic()
-    pt = _fft2_raw(t, -1, -1)
-    ph = _fft2_raw(h, -1, -1)
-    got = _alt_dqft2(psi)
-    want = _mixed_axis_grid(pt, ph)
-    assert max_deviation(got, want) < 1e-10
-
-
-def test_alt_recombination_deviation_is_recorded_not_asserted():
-    rng = np.random.default_rng(12)
-    psi = rand_signal(rng, 4, 4)
-    dev = rel_deviation(_alt_dqft2(psi), dqft2_via_fft(psi))
-    assert math.isfinite(dev)  # measured only; no equality claim

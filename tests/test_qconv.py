@@ -179,7 +179,7 @@ def test_factorisation_verified_regime():
         comps = rng.uniform(-1, 1, size=(n1, n2, 4))
         comps[..., 2:] = 0.0
         f = QSignal2D(comps)
-        g = inverse_direct(QSignal2D.from_real(rng.uniform(-1, 1, size=(n1, n2))), cfg)
+        g = inverse_direct(QSignal2D.from_components(rng.uniform(-1, 1, size=(n1, n2))), cfg)
         report = conv_theorem_check(f, g, cfg)
         assert report.max_abs_deviation < 1e-10
 

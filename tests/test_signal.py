@@ -47,8 +47,7 @@ def test_constructor_copies_into_c_order():
     lambda c: QSignal2D([[[c, 1, 1, 1]]]),
     lambda c: QSignal2D.from_components([[1.0]], [[c]]),
     lambda c: QSignal2D.from_components([[c]]),
-    lambda c: QSignal2D.from_real([[c]]),
-], ids=["init-array", "init-list", "from_components-x", "from_components-w", "from_real"])
+], ids=["init-array", "init-list", "from_components-x", "from_components-w"])
 def test_complex_input_is_refused_not_truncated(build):
     with pytest.raises(ValueError, match="from_symplectic"):
         build(1 + 2j)
@@ -57,8 +56,8 @@ def test_complex_input_is_refused_not_truncated(build):
         build(1 + 0j)
 
 
-def test_from_real_and_at():
-    sig = QSignal2D.from_real([[35.0, 30.0], [25.0, 20.0]])
+def test_from_components_and_at():
+    sig = QSignal2D.from_components([[35.0, 30.0], [25.0, 20.0]])
     assert sig.at(0, 1) == Quaternion(30.0)
     assert sig.shape == (2, 2)
     np.testing.assert_array_equal(sig.x, 0)
@@ -77,7 +76,7 @@ def test_symplectic_roundtrip():
 
 
 def test_energy():
-    sig = QSignal2D.from_real([[35.0, 30.0], [25.0, 20.0]])
+    sig = QSignal2D.from_components([[35.0, 30.0], [25.0, 20.0]])
     assert sig.energy() == 3150.0
     assert QSignal2D.zeros(4, 4).energy() == 0.0
 
@@ -108,8 +107,8 @@ def test_conjugate():
 
 
 def test_deviation_metrics():
-    a = QSignal2D.from_real([[1.0, 0.0], [0.0, 0.0]])
-    b = QSignal2D.from_real([[0.0, 0.0], [0.0, 2.0]])
+    a = QSignal2D.from_components([[1.0, 0.0], [0.0, 0.0]])
+    b = QSignal2D.from_components([[0.0, 0.0], [0.0, 2.0]])
     assert max_deviation(a, a) == 0.0
     assert max_deviation(a, b) == pytest.approx(2.0)
     assert rel_deviation(a, b) == pytest.approx(1.0)

@@ -136,7 +136,7 @@ def test_kernel_index_range():
 # --- forward, direct ------------------------------------------------------
 
 def test_forward_direct_worked_example():
-    F = forward_direct(QSignal2D.from_real(EXAMPLE_IN), qft_cfg(2, 2))
+    F = forward_direct(QSignal2D.from_components(EXAMPLE_IN), qft_cfg(2, 2))
     np.testing.assert_allclose(F.w, EXAMPLE_OUT, atol=1e-12)
     np.testing.assert_allclose(F.comps[..., 1:], 0, atol=1e-12)
 
@@ -205,7 +205,7 @@ def test_sided_roundtrip(side):
 def test_sides_agree_on_real_signals():
     rng = np.random.default_rng(6)
     p1, p2 = rand_params(rng), rand_params(rng)
-    f = QSignal2D.from_real(rng.uniform(-1, 1, size=(4, 5)))
+    f = QSignal2D.from_components(rng.uniform(-1, 1, size=(4, 5)))
     ref = forward_direct(f, make_config(p1, p2, 4, 5))
     for side in (LEFT_SIDED, RIGHT_SIDED):
         got = forward_direct(f, make_config(p1, p2, 4, 5, side=side))
@@ -224,7 +224,7 @@ def test_dqft2_delta_gives_constant_one():
 
 
 def test_dqft2_worked_example_unnormalised():
-    F = _qft_oracle(QSignal2D.from_real(EXAMPLE_IN)) * 2.0
+    F = _qft_oracle(QSignal2D.from_components(EXAMPLE_IN)) * 2.0
     np.testing.assert_allclose(F.w, np.array(EXAMPLE_OUT) * 2, atol=1e-11)
 
 
@@ -241,7 +241,7 @@ def test_forward_equals_scaled_dqft2_under_qft():
 # --- inverse --------------------------------------------------------------
 
 def test_inverse_of_worked_example():
-    back = inverse_direct(QSignal2D.from_real(EXAMPLE_OUT), qft_cfg(2, 2))
+    back = inverse_direct(QSignal2D.from_components(EXAMPLE_OUT), qft_cfg(2, 2))
     np.testing.assert_allclose(back.w, EXAMPLE_IN, atol=1e-12)
 
 
@@ -380,8 +380,8 @@ def test_dqpft_1d_validation():
 # --- energy ---------------------------------------------------------------
 
 def test_energy_worked_example_both_domains():
-    assert QSignal2D.from_real(EXAMPLE_IN).energy() == 3150.0
-    assert QSignal2D.from_real(EXAMPLE_OUT).energy() == 3150.0
+    assert QSignal2D.from_components(EXAMPLE_IN).energy() == 3150.0
+    assert QSignal2D.from_components(EXAMPLE_OUT).energy() == 3150.0
     assert QSignal2D.zeros(3, 3).energy() == 0.0
 
 
@@ -469,8 +469,21 @@ def test_translation_chirped_nonwrapping_support():
         assert rel_deviation(lhs, translation_rhs(f, cfg, k1, k2)) < 1e-10
 
 
+def test_translation_inner_chirp_is_exact_to_rounding():
+    # the inner chirp 2*a*x*k*dt^2 reaches ~3e5 rad here, where a float64
+    # evaluation is ~1e-11 rad off
+    rng = np.random.default_rng(24)
+    n2, k2 = 256, 100
+    cfg = make_config(preset_qft()[0], ParamSet(1.91, 0.7, 0.3, -0.4, 0.6), 1, n2, 1.0, 1.77)
+    comps = rng.uniform(-1, 1, size=(1, n2, 4))
+    comps[:, n2 - k2:] = 0.0  # keep the shifted copy clear of the wrap
+    f = QSignal2D(comps)
+    lhs = forward_direct(circular_shift(f, 0, k2), cfg)
+    assert rel_deviation(lhs, translation_rhs(f, cfg, 0, k2)) < 1e-13
+
+
 def test_circular_shift_semantics():
-    f = QSignal2D.from_real([[1.0, 2.0], [3.0, 4.0]])
+    f = QSignal2D.from_components([[1.0, 2.0], [3.0, 4.0]])
     s = circular_shift(f, 1, 0)
     np.testing.assert_array_equal(s.w, [[3.0, 4.0], [1.0, 2.0]])
 
@@ -480,7 +493,7 @@ def test_circular_shift_semantics():
 def test_conjugate_real_signal():
     rng = np.random.default_rng(24)
     cfg = rand_cfg(rng, 3, 3)
-    f = QSignal2D.from_real(rng.uniform(-1, 1, size=(3, 3)))
+    f = QSignal2D.from_components(rng.uniform(-1, 1, size=(3, 3)))
     got = conjugate_transform_decomposition(f, cfg)
     assert rel_deviation(got, forward_direct(f, cfg)) < 1e-13
 

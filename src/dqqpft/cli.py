@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import io as qio
 from . import verify as verify_mod
 from .bench import format_table, run_bench
@@ -212,7 +214,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        # a result that overflows fails QSignal2D's finiteness check, which names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

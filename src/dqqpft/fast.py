@@ -169,5 +169,5 @@ def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
         comps[:, 0] = _real_array(arr) * conj_v
     else:
         comps.view(np.complex128)[:, 0, 0] = arr
-    out = forward_fast(QSignal2D._adopt(comps), plan).comps[:, 0]
+    out = forward_fast(QSignal2D(comps), plan).comps[:, 0]
     return out * conj_v if quat else out.view(np.complex128)[:, 0].copy()

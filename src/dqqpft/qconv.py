@@ -1,21 +1,15 @@
-"""Quadratic-phase convolution and its spectral factorisation check.
+"""Quadratic-phase convolution and its convolution theorem.
 
 The convolution weights each term of a circular convolution with the
 time chirps exp(-2i*a1*z1*(z1-x1)*dt1^2) on the left of f and
 exp(-2j*a2*z2*(z2-x2)*dt2^2) on the right of g, which is exactly what
 makes the cross terms of the transform kernels cancel.  ``qp_convolve``
-evaluates that sum in full, O((N1*N2)^2) flops in O(N1*N2) memory: a
-loop over column blocks min(N2, 2*N1) wide and, within each, over chunks
-of min(N1, 4*N2) output rows, the widest for which no buffer holds more
-than 4*N1*N2 complex entries.  A chunk evaluates its left chirp as one
-table; each of its rows is then one complex matrix product on the
-component array read as complex pairs and one write into the output
-(one add, in blocks after the first).  A unit impulse as either operand
-still reproduces the other bit for bit (see its docstring).  The
-companion factorisation (``conv_theorem_rhs``) holds as an equality only
-in a restricted regime (time chirps N-periodic, f in the i-complex
-subfield, the spectrum of g real); ``conv_theorem_check`` therefore
-reports deviations instead of enforcing them.
+evaluates that sum in full, O((N1*N2)^2) flops in O(N1*N2) memory, and
+a unit impulse as either operand reproduces the other bit for bit (see
+its docstring).  ``conv_theorem_rhs`` gives the spectrum of the result
+from the spectra of f and g.  It is an identity for any f and g under
+one condition, a = d = 0 on both axes; ``conv_theorem_check`` reports
+the deviation and never enforces it.
 """
 
 from __future__ import annotations
@@ -26,9 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fast import forward_fast, make_plan
-from .quaternion import qmul
 from .signal import QSignal2D, max_deviation, rel_deviation
-from .transform import TransformConfig, _check_dims, _freq_chirp, _pointwise_sandwich
+from .transform import (
+    TransformConfig,
+    _check_dims,
+    _chirp_planes,
+    _join_planes,
+    _split_planes,
+)
 
 __all__ = ["ConvReport", "qp_convolve", "conv_theorem_rhs", "conv_theorem_check"]
 
@@ -68,10 +67,10 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     origin is a two-sided identity.
 
     The sum is evaluated in full, O((N1*N2)^2) flops, as complex matrix
-    products over the pair q = t + u*j (t = w + x*i, u = y + z*i).  In
-    that form the left i-chirp scales t and u alike, the right j-chirp
-    c - s*j maps (t, u) to (c*t + s*u, c*u - s*t), and p*q has the parts
-    p_t*q_t - p_u*conj(q_u) and p_t*q_u + p_u*conj(q_t).  For each output
+    products over the pair q = u + v*j (u = w + x*i, v = y + z*i).  In
+    that form the left i-chirp scales u and v alike, the right j-chirp
+    c - s*j maps (u, v) to (c*u + s*v, c*v - s*u), and p*q has the parts
+    p_u*q_u - p_v*conj(q_v) and p_u*q_v + p_v*conj(q_u).  For each output
     row x1 and each block of columns m = (x2 - z2) mod N2, one matrix
     product sums in the order k = (x1 - z1) mod N1: rows k of g against
     the chirped rows z1 = (x1 - k) mod N1 of f.  So a block's g enters
@@ -98,7 +97,7 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     dt2sq = cfg.grid.dt2 ** 2
     a1, a2 = cfg.p1.a, cfg.p2.a
     z2 = np.arange(n2)
-    # the (w, x, y, z) axis read as the complex pair (t, u)
+    # the (w, x, y, z) axis read as the complex pair (u, v)
     fp = f.comps.view(np.complex128).transpose(0, 2, 1)
     gp = g.comps.view(np.complex128)
     # reversed and doubled: the n1 rows from n1-1-x1 on are z1 = (x1 - k) mod n1
@@ -112,19 +111,19 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
         w = min(width, n2 - m0)
         x2 = (np.arange(m0, m0 + w)[:, None] + z2) % n2
         th2 = 2.0 * a2 * z2 * (z2 - x2) * dt2sq
-        # the j-chirp on each float (re, im) of S_t[m, z2] and S_u[m, z2]
+        # the j-chirp on each float (re, im) of S_u[m, z2] and S_v[m, z2]
         c = np.cos(th2).repeat(2, axis=1)
         s = np.sin(th2).repeat(2, axis=1)
         s = np.stack((-s, s))
         # bincount bin of each of those floats
         bins = 4 * x2.repeat(2, axis=1) + np.tile([0, 1], n2)
         bins = np.stack((bins, bins + 2)).ravel()
-        gt, gu = gp[:, m0:m0 + w, 0], gp[:, m0:m0 + w, 1]
-        # row (k, p) holds what f_p[(x1 - k) mod n1] multiplies into (S_t | S_u)
+        gu, gv = gp[:, m0:m0 + w, 0], gp[:, m0:m0 + w, 1]
+        # row (k, p) holds what f_p[(x1 - k) mod n1] multiplies into (S_u | S_v)
         gb = np.empty((n1, 2, 2, w), np.complex128)
-        gb[:, 0, 0], gb[:, 0, 1] = gt, gu
-        np.negative(gu.conj(), out=gb[:, 1, 0])
-        np.conjugate(gt, out=gb[:, 1, 1])
+        gb[:, 0, 0], gb[:, 0, 1] = gu, gv
+        np.negative(gv.conj(), out=gb[:, 1, 0])
+        np.conjugate(gu, out=gb[:, 1, 1])
         gbt = gb.reshape(2 * n1, 2 * w).T
         st = np.empty((2 * w, n2), np.complex128)
         sf = st.view(np.float64).reshape(2, w, 2 * n2)
@@ -139,7 +138,7 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
             for x, alpha in enumerate(alphas, r0):
                 np.multiply(alpha, frev[n1 - 1 - x:2 * n1 - 1 - x], out=lhs)
                 np.matmul(gbt, lhs2, out=st)
-                # (c*S_t + s*S_u, c*S_u - s*S_t), by way of sf = (-s*S_t, s*S_u)
+                # (c*S_u + s*S_v, c*S_v - s*S_u), by way of sf = (-s*S_u, s*S_v)
                 np.multiply(c, sf, out=terms)
                 sf *= s
                 terms += sf[::-1]
@@ -154,35 +153,37 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
 
 
 def conv_theorem_rhs(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
-    """Literal spectral factorisation of the quadratic-phase convolution.
+    """Spectrum of ``qp_convolve(f, g, cfg)``; exact for any f and g if a = d = 0.
 
-    sqrt(N1*N2) * Psi_i * (sum_n u_n * Q[f_n] * Q[g]) * Psi_j with
-    u_n in (1, i, j, k) ranging over the real components of f and
-    Psi_i = exp(+i(c1*w1^2*du1^2 + e1*w1*du1)), Psi_j its j analogue.
+    Unchirped and scaled by sqrt(N1*N2), the planes (``_split_planes``) of
+    the spectra are the plain DFTs F+- and G+-; R1, R2 reflect w -> -w mod N
+    on axes 1 and 2.  Twice the product's planes, whence 0.25 with the join:
+
+        H+ = (F+ + R2 F-) G+ + (F+ - R2 F-) conj(R1 G-)
+        H- = (R2 F+ + F-) G- - (R2 F+ - F-) conj(R1 G+).
     """
     _check_pair(f, g, cfg)
-    g1, g2 = cfg.grid.n1, cfg.grid.n2
+    n1, n2 = cfg.grid.n1, cfg.grid.n2
     plan = make_plan(cfg)
-    qg = forward_fast(g, plan).comps
-    units = np.eye(4)
-    acc = np.zeros((g1, g2, 4))
-    for n in range(4):
-        comp = QSignal2D.from_components(f.comps[..., n])
-        qn = forward_fast(comp, plan).comps
-        acc = acc + qmul(qmul(units[n], qn), qg)
-    psi_i = _freq_chirp(cfg.p1, g1, cfg.grid.dt1, +1) * math.sqrt(g1 * g2)
-    psi_j = _freq_chirp(cfg.p2, g2, cfg.grid.dt2, +1)
-    return QSignal2D._adopt(_pointwise_sandwich(acc, psi_i, psi_j))
+    fg = np.stack([_split_planes(forward_fast(sig, plan).comps) for sig in (f, g)])
+    _chirp_planes(fg, math.sqrt(n1 * n2) * np.conj(plan.post1), np.conj(plan.post2))
+    (fp, fm), (gp, gm) = np.moveaxis(fg, -1, 1)
+    r1, r2 = -np.arange(n1) % n1, -np.arange(n2) % n2
+    r2fp, r2fm = fp[:, r2], fm[:, r2]
+    planes = np.stack([(fp + r2fm) * gp + (fp - r2fm) * np.conj(gm[r1]),
+                       (r2fp + fm) * gm - (r2fp - fm) * np.conj(gp[r1])], axis=-1)
+    _chirp_planes(planes, plan.post1 * (0.25 / math.sqrt(n1 * n2)), plan.post2)
+    return QSignal2D._adopt(_join_planes(planes))
 
 
 def conv_theorem_check(f: QSignal2D, g: QSignal2D, cfg: TransformConfig, *,
                        conv: QSignal2D | None = None) -> ConvReport:
-    """Compare the transform of f*g with the factorised right-hand side.
+    """Compare the transform of f*g with ``conv_theorem_rhs``.
 
     ``conv`` is ``qp_convolve(f, g, cfg)`` when the caller already has it;
     otherwise it is computed here.  Always returns a report; it never
-    raises on deviation, because the factorisation is only an identity in
-    the restricted regime the docstring of this module describes.
+    raises on deviation, because the theorem is an identity only when
+    a = d = 0 on both axes.
     """
     if conv is None:
         conv = qp_convolve(f, g, cfg)

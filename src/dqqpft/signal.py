@@ -34,7 +34,7 @@ class QSignal2D:
             raise ValueError(f"expected an (n1, n2, 4) component array, got shape {comps.shape}")
         if comps.shape[0] < 1 or comps.shape[1] < 1:
             raise ValueError("signal axes must have at least one sample")
-        self._freeze(comps)
+        self._freeze(comps, "signal contains non-finite samples")
 
     @classmethod
     def _adopt(cls, comps: np.ndarray) -> "QSignal2D":
@@ -45,17 +45,17 @@ class QSignal2D:
         input can overflow to inf on its way through a transform.
         """
         sig = cls.__new__(cls)
-        sig._freeze(comps)
+        sig._freeze(comps, "result overflowed float64: signal contains non-finite samples")
         return sig
 
-    def _freeze(self, comps: np.ndarray) -> None:
+    def _freeze(self, comps: np.ndarray, error: str) -> None:
         # a finite sum proves every sample finite without an elementwise
         # mask; only a sum that overflowed or met a non-finite sample pays
         # for the full scan
         with np.errstate(over="ignore", invalid="ignore"):
             total = comps.sum()
         if not np.isfinite(total) and not np.all(np.isfinite(comps)):
-            raise ValueError("signal contains non-finite samples")
+            raise ValueError(error)
         comps.flags.writeable = False
         self._comps = comps
 

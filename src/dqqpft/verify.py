@@ -2,11 +2,11 @@
 
 Every property draws its own inputs from one seeded generator, measures
 a worst-case deviation and compares it against a pinned tolerance.
-Identities that are only conjectural in general (the convolution
-factorisation outside its verified regime, chirped circular translations)
-are reported as diagnostics: their deviations are printed but never
-counted as failures.  The conjugate decomposition is an exact identity
-on every signal and is asserted.
+Identities that do not hold in general (the convolution theorem where
+a != 0 or d != 0, chirped circular translations) are reported as
+diagnostics: their deviations are printed but never counted as failures.
+The conjugate decomposition is an exact identity on every signal and is
+asserted.
 """
 
 from __future__ import annotations
@@ -417,14 +417,9 @@ def _convolution_checks(rng, results):
     dev_gen = 0.0
     for _ in range(12):
         n1, n2 = (int(v) for v in rng.integers(2, 7, size=2))
-        flat1, flat2 = _rand_params(rng), _rand_params(rng)
-        p1 = ParamSet(0.0, flat1.b, flat1.c, 0.0, flat1.e)
-        p2 = ParamSet(0.0, flat2.b, flat2.c, 0.0, flat2.e)
+        p1, p2 = (ParamSet(0.0, q.b, q.c, 0.0, q.e) for q in map(_rand_params, (rng, rng)))
         cfg = make_config(p1, p2, n1, n2, *rng.uniform(0.25, 2.0, size=2))
-        comps = rng.uniform(-1, 1, size=(n1, n2, 4))
-        comps[..., 2:] = 0.0
-        f = QSignal2D(comps)  # i-complex subfield
-        g = inverse_direct(QSignal2D.from_components(rng.uniform(-1, 1, size=(n1, n2))), cfg)
+        f, g = _rand_signal(rng, n1, n2), _rand_signal(rng, n1, n2)
         dev_fact = max(dev_fact, conv_theorem_check(f, g, cfg).max_rel_deviation)
 
         cfg2 = _rand_cfg(rng, n1, n2)
@@ -433,7 +428,7 @@ def _convolution_checks(rng, results):
     results.append(PropertyResult("convolution-factorisation-verified-regime", dev_fact, 1e-10))
     results.append(PropertyResult(
         "convolution-factorisation-general", dev_gen, None,
-        note="outside the verified regime the factorisation is not asserted"))
+        note="a != 0 or d != 0 breaks the identity; not asserted"))
 
 
 def _fast_internals(rng, results):

@@ -148,6 +148,21 @@ def test_io_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["forward", "inverse", "conv"])
+def test_overflowing_result_exits_3_naming_the_overflow(tmp_path, capsys, command):
+    # finite samples near the float64 limit overflow on their way through
+    # (a 1 x 1 transform in its planes split, a 2 x 1 convolution in its sums);
+    # warnings are errors here, so any warning would escape main
+    n1 = 2 if command == "conv" else 1
+    big = tmp_path / "big.qcsv"
+    big.write_text(f"{n1},1\n1,1\n0,1,0,0,0:0,1,0,0,0\n" + "1e308,1e308,1e308,1e308\n" * n1)
+    second = ["--in2", str(big)] if command == "conv" else []
+    assert main([command, "--in", str(big), *second, "--out", str(tmp_path / "o.qcsv")]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: result overflowed float64: signal contains non-finite samples"]
+
+
 def test_forward_ppm_output_is_rejected_before_reading_input(tmp_path, capsys):
     out = tmp_path / "o.ppm"
     assert main(["forward", "--preset", "qft", "--in", str(tmp_path / "missing.ppm"),
@@ -439,6 +454,8 @@ def test_measurement_helpers_stay_out_of_package_namespace():
     assert not hasattr(dqqpft.QSignal2D, "from_real")
     for name in ("_alt_dqft2", "_mixed_axis_grid"):
         assert not hasattr(dqqpft.verify, name)
+    # the convolution theorem runs on the planes split, not on quaternion products
+    assert not hasattr(dqqpft.qconv, "qmul")
     rows = dqqpft.bench.run_bench(sizes=(4,), repeats=1)
     assert [row.size for row in rows] == [4]
     assert "4x4" in dqqpft.bench.format_table(rows)

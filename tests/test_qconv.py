@@ -3,13 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqqpft.params import ParamSet
 from dqqpft.qconv import ConvReport, conv_theorem_check, conv_theorem_rhs, qp_convolve
 from dqqpft.signal import QSignal2D, max_deviation, rel_deviation
-from dqqpft.transform import forward_direct, inverse_direct, make_config
+from dqqpft.transform import forward_direct, make_config
 from oracles import (
     brute_qp_convolve,
     loop_qp_convolve,
@@ -151,8 +151,8 @@ def test_rhs_zero_signal():
 
 
 def test_rhs_qft_delta_complex_subfield_equals_forward():
-    # with the Fourier preset and g a unit impulse, the factorisation is an
-    # identity for any f in the i-complex subfield
+    # with the Fourier preset and g a unit impulse, the right-hand side is
+    # the spectrum of f itself
     rng = np.random.default_rng(6)
     n1, n2 = 4, 3
     cfg = qft_cfg(n1, n2)
@@ -166,22 +166,18 @@ def test_rhs_qft_delta_complex_subfield_equals_forward():
     assert rel_deviation(rhs, forward_direct(f, cfg)) < 1e-10
 
 
-def test_factorisation_verified_regime():
-    # time chirps off (a = d = 0), f in the i-complex subfield, spectrum of
-    # g real: the factorisation holds with the sqrt(N1*N2) prefactor
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        n1, n2 = (int(v) for v in rng.integers(2, 6, size=2))
-        q1, q2 = rand_params(rng), rand_params(rng)
-        p1 = ParamSet(0.0, q1.b, q1.c, 0.0, q1.e)
-        p2 = ParamSet(0.0, q2.b, q2.c, 0.0, q2.e)
-        cfg = make_config(p1, p2, n1, n2, rng.uniform(0.25, 2.0), rng.uniform(0.25, 2.0))
-        comps = rng.uniform(-1, 1, size=(n1, n2, 4))
-        comps[..., 2:] = 0.0
-        f = QSignal2D(comps)
-        g = inverse_direct(QSignal2D.from_components(rng.uniform(-1, 1, size=(n1, n2))), cfg)
-        report = conv_theorem_check(f, g, cfg)
-        assert report.max_abs_deviation < 1e-10
+@settings(max_examples=30, deadline=None)
+@given(n1=st.integers(1, 9), n2=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+@example(n1=33, n2=48, seed=0)
+def test_factorisation_verified_regime(n1, n2, seed):
+    # time chirps off (a = d = 0): the theorem holds for any quaternion f and g
+    rng = np.random.default_rng(seed)
+    q1, q2 = rand_params(rng), rand_params(rng)
+    p1 = ParamSet(0.0, q1.b, q1.c, 0.0, q1.e)
+    p2 = ParamSet(0.0, q2.b, q2.c, 0.0, q2.e)
+    cfg = make_config(p1, p2, n1, n2, rng.uniform(0.25, 2.0), rng.uniform(0.25, 2.0))
+    f, g = rand_signal(rng, n1, n2), rand_signal(rng, n1, n2)
+    assert conv_theorem_check(f, g, cfg).max_rel_deviation <= 1e-10
 
 
 def test_check_delta_delta():

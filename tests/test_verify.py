@@ -1,8 +1,14 @@
+import pytest
+
 from dqqpft.verify import all_passed, format_report, run_verify
 
 
-def test_suite_passes_and_reports_diagnostics():
-    results = run_verify(seed=7)
+@pytest.fixture(scope="module")
+def results():
+    return run_verify(seed=7)
+
+
+def test_suite_passes_and_reports_diagnostics(results):
     assert all_passed(results)
     names = {r.name for r in results}
     diagnostics = {r.name for r in results if r.diagnostic}
@@ -32,8 +38,7 @@ def test_suite_passes_and_reports_diagnostics():
     }
 
 
-def test_report_format_lines():
-    results = run_verify(seed=3)
+def test_report_format_lines(results):
     text = format_report(results)
     lines = text.splitlines()
     assert lines[-1] == "RESULT PASS"

@@ -110,16 +110,22 @@ def _fft2_raw(x: np.ndarray, sign1: int, sign2: int,
     return _fft_axis(_fft_axis(x, sign2, 1, out), sign1, 0, out)
 
 
-def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> QSignal2D:
-    """Chirp ``pre``, plain two-sided DFT of exponent ``sign``, chirp ``post``, scale.
-
-    ``pre`` and ``post`` are ``_chirp_planes`` (left, right) pairs; ``post``
-    also carries ``scale`` and the 1/2 of the join.  One ``_fft2_raw`` per plane.
-    """
+def _dft_planes(comps: np.ndarray, pre, sign: int) -> np.ndarray:
+    """New planes of ``comps``, chirped by ``pre``, each in place through one ``_fft2_raw``."""
     planes = _split_planes(comps)
     _chirp_planes(planes, *pre)
     for plane, flip in ((planes[..., 0], -1), (planes[..., 1], 1)):
         _fft2_raw(plane, sign, flip * sign, out=plane)
+    return planes
+
+
+def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> QSignal2D:
+    """Chirp ``pre``, plain two-sided DFT of exponent ``sign``, chirp ``post``, scale.
+
+    ``pre`` and ``post`` are ``_chirp_planes`` (left, right) pairs; ``post``
+    also carries ``scale`` and the 1/2 of the join.
+    """
+    planes = _dft_planes(comps, pre, sign)
     _chirp_planes(planes, post[0] * (0.5 * scale), post[1])
     return QSignal2D._adopt(_join_planes(planes))
 

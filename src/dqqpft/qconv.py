@@ -19,15 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fast import forward_fast, make_plan
+from .fast import _dft_planes, forward_fast, make_plan
 from .signal import QSignal2D, max_deviation, rel_deviation
-from .transform import (
-    TransformConfig,
-    _check_dims,
-    _chirp_planes,
-    _join_planes,
-    _split_planes,
-)
+from .transform import TransformConfig, _check_dims, _chirp_planes, _join_planes
 
 __all__ = ["ConvReport", "qp_convolve", "conv_theorem_rhs", "conv_theorem_check"]
 
@@ -155,9 +149,9 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
 def conv_theorem_rhs(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     """Spectrum of ``qp_convolve(f, g, cfg)``; exact for any f and g if a = d = 0.
 
-    Unchirped and scaled by sqrt(N1*N2), the planes (``_split_planes``) of
-    the spectra are the plain DFTs F+- and G+-; R1, R2 reflect w -> -w mod N
-    on axes 1 and 2.  Twice the product's planes, whence 0.25 with the join:
+    F+- and G+- are the plain DFTs of the pre-chirped planes of f and g
+    (``_dft_planes``); R1, R2 reflect w -> -w mod N on axes 1 and 2.
+    Twice the product's planes, whence 0.25 with the join:
 
         H+ = (F+ + R2 F-) G+ + (F+ - R2 F-) conj(R1 G-)
         H- = (R2 F+ + F-) G- - (R2 F+ - F-) conj(R1 G+).
@@ -165,9 +159,8 @@ def conv_theorem_rhs(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSigna
     _check_pair(f, g, cfg)
     n1, n2 = cfg.grid.n1, cfg.grid.n2
     plan = make_plan(cfg)
-    fg = np.stack([_split_planes(forward_fast(sig, plan).comps) for sig in (f, g)])
-    _chirp_planes(fg, math.sqrt(n1 * n2) * np.conj(plan.post1), np.conj(plan.post2))
-    (fp, fm), (gp, gm) = np.moveaxis(fg, -1, 1)
+    (fp, fm), (gp, gm) = (np.moveaxis(_dft_planes(sig.comps, (plan.pre1, plan.pre2), -1), -1, 0)
+                          for sig in (f, g))
     r1, r2 = -np.arange(n1) % n1, -np.arange(n2) % n2
     r2fp, r2fm = fp[:, r2], fm[:, r2]
     planes = np.stack([(fp + r2fm) * gp + (fp - r2fm) * np.conj(gm[r1]),

@@ -30,9 +30,10 @@ factors do not commute with quaternion samples.  Left- and right-sided
 variants put the product of both exponentials (i-factor first) on a
 single side instead.
 
-Everything here is evaluated from precomputed kernel matrices by a full
-O((N1*N2)^2) contraction, which makes this module the definitional
-reference the FFT-based fast path is checked and benchmarked against.
+The transforms here, a full O((N1*N2)^2) contraction of precomputed
+kernel matrices, are the definitional reference the FFT-based fast path
+is checked and benchmarked against.  The identity helpers take every
+spectrum from the fast path, in O(N1*N2*log(N1*N2)) at any grid size.
 All arithmetic runs on the component array viewed as complex pairs,
 q = u + v*j with u = w + i*x and v = y + i*z, where one-sided
 multiplications turn into ordinary complex products: an i-complex z on
@@ -50,7 +51,7 @@ import numpy as np
 
 from .exact import _two_product, _two_sum
 from .params import Grid, ParameterError, ParamSet, _freq_step
-from .quaternion import I, J, qconj, qmul
+from .quaternion import qconj
 from .signal import QSignal2D
 
 __all__ = [
@@ -398,6 +399,13 @@ def circular_shift(f: QSignal2D, k1: int, k2: int) -> QSignal2D:
     return QSignal2D._adopt(np.roll(f.comps, (k1, k2), axis=(0, 1)))
 
 
+def _fast_spectra(cfg: TransformConfig, *signals: QSignal2D) -> list[np.ndarray]:
+    """``forward_fast`` of each signal under one plan; ``fast`` imports this module."""
+    from .fast import forward_fast, make_plan
+    plan = make_plan(cfg)
+    return [forward_fast(s, plan).comps for s in signals]
+
+
 def _check_identity(f: QSignal2D, cfg: TransformConfig, identity: str, shift=(0, 0)):
     _check_dims(f, cfg)
     if cfg.side != TWO_SIDED:
@@ -418,11 +426,6 @@ def modulation_rhs(f: QSignal2D, cfg: TransformConfig, eps1: int, eps2: int) -> 
     c*(eps^2 - 2*w*eps)*du^2 - e*eps*du.
     """
     _check_identity(f, cfg, "modulation identity", (eps1, eps2))
-    return _modulation_rhs_of(forward_direct(f, cfg), cfg, eps1, eps2)
-
-
-def _modulation_rhs_of(F: QSignal2D, cfg: TransformConfig, eps1: int, eps2: int) -> QSignal2D:
-    """``modulation_rhs`` from the spectrum F of f, however F was computed."""
     rows, rho = [], []
     for (p, n, dt), eps in zip(_axes(cfg), (eps1, eps2)):
         w = np.arange(n)
@@ -430,7 +433,7 @@ def _modulation_rhs_of(F: QSignal2D, cfg: TransformConfig, eps1: int, eps2: int)
         rows.append(m)
         w_hi, w_lo = _freq_phase(p, w, n, dt)
         rho.append(np.exp(1j * _mod_2pi(_freq_phase(p, m, n, dt), (-w_hi, -w_lo))))
-    return QSignal2D._adopt(_pointwise_sandwich(F.comps[np.ix_(*rows)], *rho))
+    return QSignal2D._adopt(_pointwise_sandwich(_fast_spectra(cfg, f)[0][np.ix_(*rows)], *rho))
 
 
 def translation_rhs(f: QSignal2D, cfg: TransformConfig, k1: int, k2: int) -> QSignal2D:
@@ -451,8 +454,8 @@ def translation_rhs(f: QSignal2D, cfg: TransformConfig, k1: int, k2: int) -> QSi
             _quad_phase(0.0, 2.0 * p.a, x * k, _two_product(dt, dt)))))
         outer.append(np.exp(-1j * _mod_2pi(_time_phase(p, k, dt),
                                             ((2.0 * math.pi / n) * (k * x % n), 0.0))))
-    T = forward_direct(QSignal2D._adopt(_pointwise_sandwich(f.comps, *inner)), cfg)
-    return QSignal2D._adopt(_pointwise_sandwich(T.comps, *outer))
+    (T,) = _fast_spectra(cfg, QSignal2D._adopt(_pointwise_sandwich(f.comps, *inner)))
+    return QSignal2D._adopt(_pointwise_sandwich(T, *outer))
 
 
 def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:
@@ -470,6 +473,7 @@ def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSi
     for every signal, not only for signals without a k component.
     """
     _check_identity(f, cfg, "conjugate decomposition")
-    q = [forward_direct(QSignal2D.from_components(f.comps[..., n]), cfg).comps for n in range(4)]
-    i, j = I.to_array(), J.to_array()
-    return QSignal2D._adopt(q[0] - qmul(i, q[1]) - qmul(q[2], j) - qmul(i, qmul(q[3], j)))
+    q = _fast_spectra(cfg, *(QSignal2D.from_components(f.comps[..., n]) for n in range(4)))
+    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = (np.moveaxis(s.view(np.complex128), -1, 0) for s in q)
+    return QSignal2D._adopt(np.stack([u0 - 1j * u1 + v2 + 1j * v3,
+                                      v0 - 1j * v1 - u2 - 1j * u3], axis=-1).view(np.float64))

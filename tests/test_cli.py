@@ -454,8 +454,12 @@ def test_measurement_helpers_stay_out_of_package_namespace():
     assert not hasattr(dqqpft.QSignal2D, "from_real")
     for name in ("_alt_dqft2", "_mixed_axis_grid"):
         assert not hasattr(dqqpft.verify, name)
-    # the convolution theorem runs on the planes split, not on quaternion products
+    # the convolution theorem and the identity helpers run on the complex
+    # view, not on quaternion products, and every identity takes its
+    # spectra from the one fast transform, with no second entry point
     assert not hasattr(dqqpft.qconv, "qmul")
+    for name in ("qmul", "I", "J", "_modulation_rhs_of"):
+        assert not hasattr(dqqpft.transform, name)
     rows = dqqpft.bench.run_bench(sizes=(4,), repeats=1)
     assert [row.size for row in rows] == [4]
     assert "4x4" in dqqpft.bench.format_table(rows)

@@ -18,11 +18,14 @@ from dqqpft.params import ParameterError
 from dqqpft.signal import QSignal2D, rel_deviation
 from dqqpft.transform import (
     LEFT_SIDED,
-    _modulation_rhs_of,
+    circular_shift,
+    conjugate_transform_decomposition,
     forward_direct,
     inverse_direct,
     make_config,
     modulated_signal,
+    modulation_rhs,
+    translation_rhs,
 )
 from dqqpft.verify import _qft_oracle
 from oracles import (
@@ -329,10 +332,10 @@ def test_fast_path_matches_the_exact_phase_reference(n1, n2):
 
 # The paper's identities with the fast path on both sides.  Over five
 # seeds per grid the worst readings were 1.5e-15 (reconstruction), 2.3e-16
-# (energy) and 1.3e-15 (modulation), with no growth from 96x250 to 1024^2,
-# so one bound of 1e-14 serves every size.  Float64 phases read 4.1e-13 on
-# the modulation identity at 1024^2.  The right-hand side is built from
-# ``forward_fast(f)``, since ``modulation_rhs`` runs the direct path.
+# (energy), 1.2e-15 (modulation), 1.4e-15 (translation on a non-wrapping
+# support) and 7.0e-16 (conjugation), with no growth from 96x250 to
+# 1024^2, so one bound of 1e-14 serves every size.  Float64 phases read
+# 4.1e-13 on the modulation identity at 1024^2.
 @pytest.mark.parametrize("n1,n2", [(257, 257), (96, 250), (1024, 1024)])
 def test_identities_hold_on_the_fast_path_at_large_grids(n1, n2):
     rng = np.random.default_rng([n1, n2, 1])
@@ -344,5 +347,15 @@ def test_identities_hold_on_the_fast_path_at_large_grids(n1, n2):
     assert abs(F.energy() - f.energy()) / f.energy() <= 1e-14
     eps1, eps2 = int(rng.integers(0, n1)), int(rng.integers(0, n2))
     lhs = forward_fast(modulated_signal(f, eps1, eps2), plan)
-    assert rel_deviation(lhs, _modulation_rhs_of(F, cfg, eps1, eps2)) <= 1e-14
+    assert rel_deviation(lhs, modulation_rhs(f, cfg, eps1, eps2)) <= 1e-14
+    # the shifted copy stays clear of the wrap
+    k1, k2 = int(rng.integers(1, n1)), int(rng.integers(1, n2))
+    comps = np.array(f.comps)
+    comps[n1 - k1:, :] = 0.0
+    comps[:, n2 - k2:] = 0.0
+    fpad = QSignal2D(comps)
+    lhs = forward_fast(circular_shift(fpad, k1, k2), plan)
+    assert rel_deviation(lhs, translation_rhs(fpad, cfg, k1, k2)) <= 1e-14
+    want = forward_fast(f.conjugate(), plan)
+    assert rel_deviation(conjugate_transform_decomposition(f, cfg), want) <= 1e-14
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dqqpft.transform
 from dqqpft import dqpft_1d
 from dqqpft.fast import dqft2_via_fft, make_plan, make_psi
 from dqqpft.params import ParameterError, ParamSet, preset_qft
@@ -534,6 +535,20 @@ def test_conjugate_decomposition_is_exact_on_general_signals():
     want = forward_direct(fk.conjugate(), cfg1)
     assert want.at(0, 0) == Quaternion(0, 0, 0, -1)
     assert got.at(0, 0) == Quaternion(0, 0, 0, -1)
+
+
+def test_identity_helpers_take_their_spectra_from_the_fast_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an identity helper ran the direct O((N1*N2)^2) path")
+
+    rng = np.random.default_rng(28)
+    cfg = rand_cfg(rng, 3, 4)
+    f = rand_signal(rng, 3, 4)
+    want = forward_direct(f.conjugate(), cfg)
+    monkeypatch.setattr(dqqpft.transform, "forward_direct", refuse)
+    modulation_rhs(f, cfg, 1, 2)
+    translation_rhs(f, cfg, 1, 2)
+    assert rel_deviation(conjugate_transform_decomposition(f, cfg), want) < 1e-13
 
 
 # --- the component-array form ----------------------------------------------

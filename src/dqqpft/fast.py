@@ -3,12 +3,13 @@
 The pipeline mirrors the chirp-DFT-chirp factorisation of the direct
 transform, with the plain two-sided quaternion DFT evaluated as two
 plain complex 2D DFTs on the planes p+ = u - i*v and p- = u + i*v of
-each sample q = u + v*j.  The split, the broadcast chirps and the join
-are ``transform._split_planes``, ``_chirp_planes`` and ``_join_planes``,
-shared with the pointwise products of the identity helpers.  The DFT
-kernel exp(-i*th1) * q * exp(-j*th2) becomes exp(-i*(th1 + th2)) on p-,
-a plain ``fft2``, and exp(-i*(th1 - th2)) on p+: axis 0 keeps the sign
-and axis 1, the j-axis, takes the flipped one.
+each sample q = u + v*j.  The split, the broadcast chirps and the
+post-chirped join are ``transform._split_planes``, ``_chirp_planes`` and
+``_chirp_join``, shared with the identity helpers and the convolution
+theorem.  The DFT kernel exp(-i*th1) * q * exp(-j*th2) becomes
+exp(-i*(th1 + th2)) on p-, a plain ``fft2``, and exp(-i*(th1 - th2)) on
+p+: axis 0 keeps the sign and axis 1, the j-axis, takes the flipped one.
+The path is two-sided; one-sided placements run on the direct path.
 
 Each transform runs inside its output buffer, where the planes are
 split, chirped, transformed in place and joined; beside it only
@@ -26,15 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ParameterError, ParamSet, preset_qft
+from .params import ParamSet, preset_qft
 from .signal import QSignal2D, _real_array
 from .transform import (
-    TWO_SIDED,
     TransformConfig,
     _check_dims,
+    _check_two_sided,
+    _chirp_join,
     _chirp_planes,
     _freq_chirp,
-    _join_planes,
     _pointwise_sandwich,
     _split_planes,
     _time_chirp,
@@ -70,8 +71,7 @@ class FastPlan:
 
 
 def make_plan(cfg: TransformConfig) -> FastPlan:
-    if cfg.side != TWO_SIDED:
-        raise ParameterError("the fast path implements the two-sided transform")
+    _check_two_sided(cfg, "the fast path")
     g = cfg.grid
     return FastPlan(
         cfg=cfg,
@@ -123,11 +123,9 @@ def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> Q
     """Chirp ``pre``, plain two-sided DFT of exponent ``sign``, chirp ``post``, scale.
 
     ``pre`` and ``post`` are ``_chirp_planes`` (left, right) pairs; ``post``
-    also carries ``scale`` and the 1/2 of the join.
+    goes in with ``scale`` through ``_chirp_join``.
     """
-    planes = _dft_planes(comps, pre, sign)
-    _chirp_planes(planes, post[0] * (0.5 * scale), post[1])
-    return QSignal2D._adopt(_join_planes(planes))
+    return QSignal2D._adopt(_chirp_join(_dft_planes(comps, pre, sign), *post, scale))
 
 
 def dqft2_via_fft(psi: QSignal2D) -> QSignal2D:

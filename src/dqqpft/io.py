@@ -8,6 +8,8 @@ qcsv is a line-oriented text format.  After optional comment lines
     a1,b1,c1,d1,e1:a2,b2,c2,d2,e2
     w,x,y,z          (n1*n2 sample lines, row-major: x1 outer, x2 inner)
 
+There is no side field: ``write_qcsv`` refuses a one-sided config.
+
 Values are written as ``%.17g`` (17 significant digits), so a write/read
 round trip reproduces every float64 bit-exactly, and every line ends in
 one line feed.  The writer formats the samples in blocks of rows.  A
@@ -58,7 +60,7 @@ import numpy as np
 from .exact import _two_product, _veltkamp
 from .params import ParameterError, _parse_floats, format_param_pair, parse_param_pair
 from .signal import QSignal2D
-from .transform import TransformConfig, _check_dims, make_config
+from .transform import TransformConfig, _check_dims, _check_two_sided, make_config
 
 __all__ = [
     "QcsvError",
@@ -316,8 +318,9 @@ def _format_samples(block: np.ndarray) -> bytes:
 
 
 def write_qcsv(path, signal: QSignal2D, cfg: TransformConfig) -> None:
-    """Save a quaternion grid and the transform config stored with it."""
+    """Save a quaternion grid and the two-sided transform config stored with it."""
     _check_dims(signal, cfg)
+    _check_two_sided(cfg, "qcsv")
     g = cfg.grid
     header = [
         "# dqqpft qcsv: n1,n2 / dt1,dt2 / params / w,x,y,z samples",

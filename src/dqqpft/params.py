@@ -89,12 +89,12 @@ def preset_qft() -> tuple[ParamSet, ParamSet]:
 
 
 def preset_qfrft(theta1: float, theta2: float) -> tuple[ParamSet, ParamSet]:
-    """Fractional-transform preset (-cot(t)/2, csc(t), -cot(t)/2, 0, 0).
+    """Fractional-transform preset: ``preset_qlct`` at (cos t, sin t, cos t) per axis.
 
-    Non-finite angles and angles with sin(theta) == 0 have no csc and are
-    rejected.
+    That is (-cot(t)/2, csc(t), -cot(t)/2, 0, 0).  Non-finite angles and
+    angles with sin(theta) == 0 have no csc and are rejected.
     """
-    out = []
+    abd = []
     for theta in (theta1, theta2):
         if not math.isfinite(theta):
             raise ParameterError(f"fractional angle must be finite, got {theta!r}")
@@ -106,9 +106,8 @@ def preset_qfrft(theta1: float, theta2: float) -> tuple[ParamSet, ParamSet]:
             # cos(pi/2) rounds to ~6e-17; this close to a right angle the
             # family member is exactly the Fourier case
             c = 0.0
-        half_cot = c / s / 2.0
-        out.append(ParamSet(-half_cot, 1.0 / s, -half_cot, 0.0, 0.0))
-    return out[0], out[1]
+        abd.append((c, s, c))
+    return preset_qlct(*abd)
 
 
 def preset_qlct(abd1: tuple[float, float, float],

@@ -3,25 +3,25 @@
 The convolution weights each term of a circular convolution with the
 time chirps exp(-2i*a1*z1*(z1-x1)*dt1^2) on the left of f and
 exp(-2j*a2*z2*(z2-x2)*dt2^2) on the right of g, which is exactly what
-makes the cross terms of the transform kernels cancel.  ``qp_convolve``
-evaluates that sum in full, O((N1*N2)^2) flops in O(N1*N2) memory, and
-a unit impulse as either operand reproduces the other bit for bit (see
-its docstring).  ``conv_theorem_rhs`` gives the spectrum of the result
-from the spectra of f and g.  It is an identity for any f and g under
-one condition, a = d = 0 on both axes; ``conv_theorem_check`` reports
-the deviation and never enforces it.
+makes the cross terms of the transform kernels cancel; both phases are
+``transform._conv_phase``.  ``qp_convolve`` evaluates that sum in full,
+O((N1*N2)^2) flops in O(N1*N2) memory, and a unit impulse as either
+operand reproduces the other bit for bit (see its docstring).
+``conv_theorem_rhs`` gives the spectrum of the result from the spectra
+of f and g.  It is an identity for any f and g under one condition,
+a = d = 0 on both axes; ``conv_theorem_check`` reports the deviation and
+never enforces it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fast import _dft_planes, forward_fast, make_plan
+from .fast import _dft_planes, _scale, forward_fast, make_plan
 from .signal import QSignal2D, max_deviation, rel_deviation
-from .transform import TransformConfig, _check_dims, _chirp_planes, _join_planes
+from .transform import TransformConfig, _check_dims, _chirp_join, _conv_phase
 
 __all__ = ["ConvReport", "qp_convolve", "conv_theorem_rhs", "conv_theorem_check"]
 
@@ -78,8 +78,8 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     entries: the block of g holds 4*N1*width, S holds 2*width*N2, the
     doubled f 4*N1*N2 and the chirp table N1 per row.  So when blocks
     split N2 one chunk holds every row, and when chunks split N1 one
-    block holds every column.  Both chirps are evaluated per element from
-    the same phase expression at every (z, x), whatever the order.  With a
+    block holds every column.  Both chirps are evaluated per element by
+    ``_conv_phase`` at every (z, x), whatever the order.  With a
     unit impulse as either operand every sum has one nonzero term,
     weighted by exactly cos(0) = 1 and sin(0) = 0, and every other term
     is an exact zero, so the result reproduces the other operand bit for
@@ -87,9 +87,6 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     """
     _check_pair(f, g, cfg)
     n1, n2 = f.n1, f.n2
-    dt1sq = cfg.grid.dt1 ** 2
-    dt2sq = cfg.grid.dt2 ** 2
-    a1, a2 = cfg.p1.a, cfg.p2.a
     z2 = np.arange(n2)
     # the (w, x, y, z) axis read as the complex pair (u, v)
     fp = f.comps.view(np.complex128).transpose(0, 2, 1)
@@ -104,7 +101,7 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     for m0 in range(0, n2, width):
         w = min(width, n2 - m0)
         x2 = (np.arange(m0, m0 + w)[:, None] + z2) % n2
-        th2 = 2.0 * a2 * z2 * (z2 - x2) * dt2sq
+        th2 = _conv_phase(cfg.p2.a, cfg.grid.dt2, z2, x2)
         # the j-chirp on each float (re, im) of S_u[m, z2] and S_v[m, z2]
         c = np.cos(th2).repeat(2, axis=1)
         s = np.sin(th2).repeat(2, axis=1)
@@ -127,7 +124,7 @@ def qp_convolve(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSignal2D:
             # the left chirp of rows x1 in [r0, r0 + chunk) at z1 = (x1 - k) mod n1
             x1 = np.arange(r0, min(r0 + chunk, n1))[:, None]
             z1 = (x1 - np.arange(n1)) % n1
-            th1 = 2.0 * a1 * z1 * (z1 - x1) * dt1sq
+            th1 = _conv_phase(cfg.p1.a, cfg.grid.dt1, z1, x1)
             alphas = (np.cos(th1) - 1j * np.sin(th1))[:, :, None, None]
             for x, alpha in enumerate(alphas, r0):
                 np.multiply(alpha, frev[n1 - 1 - x:2 * n1 - 1 - x], out=lhs)
@@ -151,7 +148,7 @@ def conv_theorem_rhs(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSigna
 
     F+- and G+- are the plain DFTs of the pre-chirped planes of f and g
     (``_dft_planes``); R1, R2 reflect w -> -w mod N on axes 1 and 2.
-    Twice the product's planes, whence 0.25 with the join:
+    Twice the product's planes, whence the scale 1/2 into the join:
 
         H+ = (F+ + R2 F-) G+ + (F+ - R2 F-) conj(R1 G-)
         H- = (R2 F+ + F-) G- - (R2 F+ - F-) conj(R1 G+).
@@ -165,8 +162,7 @@ def conv_theorem_rhs(f: QSignal2D, g: QSignal2D, cfg: TransformConfig) -> QSigna
     r2fp, r2fm = fp[:, r2], fm[:, r2]
     planes = np.stack([(fp + r2fm) * gp + (fp - r2fm) * np.conj(gm[r1]),
                        (r2fp + fm) * gm - (r2fp - fm) * np.conj(gp[r1])], axis=-1)
-    _chirp_planes(planes, plan.post1 * (0.25 / math.sqrt(n1 * n2)), plan.post2)
-    return QSignal2D._adopt(_join_planes(planes))
+    return QSignal2D._adopt(_chirp_join(planes, plan.post1, plan.post2, 0.5 * _scale(plan)))
 
 
 def conv_theorem_check(f: QSignal2D, g: QSignal2D, cfg: TransformConfig, *,

@@ -13,7 +13,9 @@ The bracketed time and frequency sides are written once, in
 ``_time_phase`` and ``_freq_phase``; every kernel, chirp and identity
 phase correction here is built from those two, save the translation
 identity's inner chirp 2*a*x*k*dt^2, which goes through the same
-double-double ``_quad_phase``.
+double-double ``_quad_phase``.  So are the kernel (``_kernel``), the
+convolution chirp (``_conv_phase``), the planes join (``_chirp_join``)
+and the two-sided requirement (``_check_two_sided``).
 
 The time side grows as a*(N*dt)^2, so a float64 evaluation loses
 O(N^2 * eps) rad: up to 3e-7 rad at N = 16384 with |a| <= 2 and dt <= 2.
@@ -82,8 +84,8 @@ class TransformConfig:
     """Parameter pair, grid and kernel placement for one transform.
 
     ``du1``/``du2`` are the frequency steps derived from b, N and dt.  A
-    pair whose kernel phase, dt^2 or convolution chirp overflows on either
-    axis is refused.
+    pair whose kernel phase or convolution chirp, dt^2 included, overflows
+    on either axis is refused.
     """
 
     p1: ParamSet
@@ -209,40 +211,38 @@ def _axis_phase(p: ParamSet, n: int, dt: float, xi, w) -> np.ndarray:
                     _freq_phase(p, w, n, dt))
 
 
-def _axis_step(p: ParamSet, n: int, dt: float, axis: str) -> None:
-    """Refuse an axis whose dt^2, kernel phase or convolution chirp overflows float64.
+def _conv_phase(a: float, dt: float, z, x):
+    """``qp_convolve``'s chirp phase 2*a*z*(z - x)*dt^2, left to right."""
+    return 2.0 * a * z * (z - x) * (dt * dt)
 
-    dt^2 enters ``qp_convolve`` even where a = 0 keeps it out of the phase.
+
+def _axis_step(p: ParamSet, n: int, dt: float, axis: str) -> None:
+    """Refuse an axis whose kernel phase or convolution chirp overflows float64.
+
     The time and frequency terms grow with x and w and the DFT term stays
     below 2*pi, so the phase is finite on the axis if it is at
     x = w = n - 1, where an infinite du reads as NaN.  Each partial
-    product of ``qp_convolve``'s chirp 2.0*a*z*(z - x)*dt^2 is largest
-    at z = n - 1, x = 0, evaluated here in the same order; at n = 1 an
-    infinite 2.0*a times z = 0 reads as NaN.
+    product of ``_conv_phase`` is largest at z = n - 1, x = 0; an infinite
+    dt^2 reads there as inf, or as NaN at a = 0 or n = 1.
     """
-    if not math.isfinite(dt * dt):
-        raise ParameterError(f"{axis}: dt={dt!r} squared overflows float64")
     du = _freq_step(p, n, dt)
     if not np.isfinite(_axis_phase(p, n, dt, n - 1, n - 1)):
         raise ParameterError(f"{axis}: kernel phase overflows float64 at N={n}, "
                              f"dt={dt!r}, du={du!r}")
     a = float(p.a)
-    if not math.isfinite(2.0 * a * (n - 1) * (n - 1) * (dt * dt)):
+    if not math.isfinite(_conv_phase(a, dt, n - 1, 0)):
         raise ParameterError(f"{axis}: convolution chirp overflows float64 at N={n}, "
                              f"a={a!r}, dt={dt!r}")
 
 
-def _kernel_matrix(p: ParamSet, n: int, dt: float) -> np.ndarray:
-    """(1/sqrt(n)) * exp(-i*phase) over all (sample, frequency) index pairs."""
-    xi = np.arange(n)[:, None]
-    w = np.arange(n)[None, :]
+def _kernel(p: ParamSet, n: int, dt: float, xi, w):
+    """(1/sqrt(n)) * exp(-i*phase) at the index pairs (xi, w)."""
     return np.exp(-1j * _axis_phase(p, n, dt, xi, w)) / math.sqrt(n)
 
 
-def _kernel_factors(cfg: TransformConfig):
-    """Axis-1 complex kernel and the cos/sin parts of the axis-2 j-kernel."""
-    z1, z2 = (_kernel_matrix(*axis) for axis in _axes(cfg))
-    return z1, z2.real, z2.imag
+def _kernels(cfg: TransformConfig):
+    """The axis-1 i-kernel and the axis-2 j-kernel over all (sample, frequency) pairs."""
+    return tuple(_kernel(p, n, dt, *np.ogrid[:n, :n]) for p, n, dt in _axes(cfg))
 
 
 def _kernel_entry(cfg: TransformConfig, axis: int, xi: int, w: int) -> complex:
@@ -250,7 +250,7 @@ def _kernel_entry(cfg: TransformConfig, axis: int, xi: int, w: int) -> complex:
     xi, w = operator.index(xi), operator.index(w)
     if not (0 <= xi < n and 0 <= w < n):
         raise IndexError(f"axis-{axis} indices out of range for N{axis}={n}: ({xi}, {w})")
-    return complex(np.exp(-1j * _axis_phase(p, n, dt, xi, w)) / math.sqrt(n))
+    return complex(_kernel(p, n, dt, xi, w))
 
 
 def left_kernel(cfg: TransformConfig, xi1: int, w1: int) -> complex:
@@ -271,13 +271,14 @@ def _contract(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("pm,pq,qn->mn", a, x, b, optimize=False)
 
 
-def _sandwich(z1, b0, b2, comps, side):
+def _sandwich(z1, z2, comps, side):
     """Kernel contraction of a component array for one kernel placement.
 
-    z1 is the i-complex axis-1 factor indexed (summed, out); (b0, b2) are
-    the cos/sin parts of the j-complex axis-2 factor, same indexing.
+    z1 is the i-complex axis-1 kernel and z2 the j-complex axis-2 kernel,
+    cos + j*sin carried as cos + i*sin, both indexed (summed, out).
     Returns a new (n1, n2, 4) component array.
     """
+    b0, b2 = z2.real, z2.imag
     uv = comps.view(np.complex128)
     u, v = uv[..., 0], uv[..., 1]
     if side == TWO_SIDED:
@@ -286,12 +287,10 @@ def _sandwich(z1, b0, b2, comps, side):
     elif side == LEFT_SIDED:
         fu = _contract(z1, u, b0) - _contract(z1, np.conj(v), b2)
         fv = _contract(z1, v, b0) + _contract(z1, np.conj(u), b2)
-    elif side == RIGHT_SIDED:
+    else:
         zc = np.conj(z1)
         fu = _contract(z1, u, b0) - _contract(zc, v, b2)
         fv = _contract(zc, v, b0) + _contract(z1, u, b2)
-    else:  # pragma: no cover
-        raise ValueError(side)
     return np.stack([fu, fv], axis=-1).view(np.float64)
 
 
@@ -304,8 +303,7 @@ def _check_dims(f: QSignal2D, cfg: TransformConfig):
 def forward_direct(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     """Transform by direct summation against precomputed kernel matrices."""
     _check_dims(f, cfg)
-    z1, b0, b2 = _kernel_factors(cfg)
-    return QSignal2D._adopt(_sandwich(z1, b0, b2, f.comps, cfg.side))
+    return QSignal2D._adopt(_sandwich(*_kernels(cfg), f.comps, cfg.side))
 
 
 def inverse_direct(F: QSignal2D, cfg: TransformConfig) -> QSignal2D:
@@ -325,11 +323,11 @@ def inverse_direct(F: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     the transposed forward kernels, and a right-sided one the mirror.
     """
     _check_dims(F, cfg)
-    z1, b0, b2 = _kernel_factors(cfg)
+    z1, z2 = _kernels(cfg)
     if cfg.side == TWO_SIDED:
-        return QSignal2D._adopt(_sandwich(np.conj(z1).T, b0.T, -b2.T, F.comps, TWO_SIDED))
+        return QSignal2D._adopt(_sandwich(np.conj(z1).T, np.conj(z2).T, F.comps, TWO_SIDED))
     other_side = RIGHT_SIDED if cfg.side == LEFT_SIDED else LEFT_SIDED
-    return QSignal2D._adopt(qconj(_sandwich(z1.T, b0.T, b2.T, qconj(F.comps), other_side)))
+    return QSignal2D._adopt(qconj(_sandwich(z1.T, z2.T, qconj(F.comps), other_side)))
 
 
 def _time_chirp(p: ParamSet, n: int, dt: float, sign: int) -> np.ndarray:
@@ -365,12 +363,13 @@ def _chirp_planes(planes: np.ndarray, left, right) -> None:
     planes *= np.stack([np.conj(right), right], axis=-1)
 
 
-def _join_planes(planes: np.ndarray) -> np.ndarray:
-    """In place, (u, v) = (p+ + p-, i*(p+ - p-)) on planes that carry the 1/2.
+def _chirp_join(planes: np.ndarray, left, right, scale: float = 1.0) -> np.ndarray:
+    """In place, post-chirp by (left * scale/2, right) and join: (u, v) = (p+ + p-, i*(p+ - p-)).
 
     p+ - p- is taken as (p+ + p-) - 2*p-: no temporary plane, and finite
     wherever a separate p+ - p- is, as 2*p- is a plane without its 1/2.
     """
+    _chirp_planes(planes, left * (0.5 * scale), right)
     plus, minus = planes[..., 0], planes[..., 1]
     plus += minus
     minus *= -2
@@ -381,9 +380,7 @@ def _join_planes(planes: np.ndarray) -> np.ndarray:
 
 def _pointwise_sandwich(comps, left, right):
     """left * q * right per sample, as for ``_chirp_planes``; a new component array."""
-    planes = _split_planes(comps)
-    _chirp_planes(planes, 0.5 * left, right)
-    return _join_planes(planes)
+    return _chirp_join(_split_planes(comps), left, right)
 
 
 def modulated_signal(f: QSignal2D, eps1: int, eps2: int) -> QSignal2D:
@@ -406,10 +403,14 @@ def _fast_spectra(cfg: TransformConfig, *signals: QSignal2D) -> list[np.ndarray]
     return [forward_fast(s, plan).comps for s in signals]
 
 
+def _check_two_sided(cfg: TransformConfig, what: str) -> None:
+    if cfg.side != TWO_SIDED:
+        raise ParameterError(f"{what} takes the two-sided transform only, got side {cfg.side!r}")
+
+
 def _check_identity(f: QSignal2D, cfg: TransformConfig, identity: str, shift=(0, 0)):
     _check_dims(f, cfg)
-    if cfg.side != TWO_SIDED:
-        raise ParameterError(f"{identity} is stated for the two-sided transform")
+    _check_two_sided(cfg, identity)
     (s1, s2), g = shift, cfg.grid
     if not (0 <= s1 < g.n1 and 0 <= s2 < g.n2):
         raise IndexError(f"shift ({s1}, {s2}) out of range for grid {(g.n1, g.n2)}")

@@ -162,7 +162,7 @@ def _qft_oracle(f: QSignal2D) -> QSignal2D:
     the signal in the direct path's own contraction, ``_sandwich``.
     """
     z1, z2 = (_oracle_kernel(0.0, 0.0, n, 1.0, 0.0) for n in (f.n1, f.n2))
-    return QSignal2D._adopt(_sandwich(z1, z2.real, z2.imag, f.comps, TWO_SIDED))
+    return QSignal2D._adopt(_sandwich(z1, z2, f.comps, TWO_SIDED))
 
 
 def _quaternion_algebra(rng, results):

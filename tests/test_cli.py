@@ -460,6 +460,9 @@ def test_measurement_helpers_stay_out_of_package_namespace():
     assert not hasattr(dqqpft.qconv, "qmul")
     for name in ("qmul", "I", "J", "_modulation_rhs_of"):
         assert not hasattr(dqqpft.transform, name)
+    # one planes join, with its 1/2, and one kernel builder
+    for name in ("_join_planes", "_kernel_factors", "_kernel_matrix"):
+        assert not hasattr(dqqpft.transform, name)
     rows = dqqpft.bench.run_bench(sizes=(4,), repeats=1)
     assert [row.size for row in rows] == [4]
     assert "4x4" in dqqpft.bench.format_table(rows)

@@ -21,9 +21,9 @@ from dqqpft.io import (
     write_qcsv,
 )
 from dqqpft.fast import forward_fast, make_plan
-from dqqpft.params import format_param_pair, preset_qft
+from dqqpft.params import ParameterError, format_param_pair, preset_qft
 from dqqpft.signal import QSignal2D
-from dqqpft.transform import make_config
+from dqqpft.transform import LEFT_SIDED, make_config
 from oracles import rand_cfg, rand_signal, traced_peak
 
 
@@ -37,6 +37,17 @@ def test_qcsv_roundtrip_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.comps, sig.comps)
     assert back_cfg.p1 == cfg.p1 and back_cfg.p2 == cfg.p2
     assert back_cfg.grid == cfg.grid
+
+
+def test_write_qcsv_refuses_one_sided_config_before_opening_the_file(tmp_path):
+    # qcsv has no side field: a left-sided spectrum would read back as two-sided
+    rng = np.random.default_rng(0)
+    base = rand_cfg(rng, 4, 5)
+    cfg = make_config(base.p1, base.p2, 4, 5, base.grid.dt1, base.grid.dt2, LEFT_SIDED)
+    path = tmp_path / "left.qcsv"
+    with pytest.raises(ParameterError, match="qcsv.*left_sided"):
+        write_qcsv(path, rand_signal(rng, 4, 5), cfg)
+    assert not path.exists()
 
 
 def test_qcsv_truncated_body_names_missing_line(tmp_path):

@@ -85,6 +85,16 @@ def test_preset_qfrft_values():
     assert p1.d == 0 and p1.e == 0
 
 
+def test_preset_qfrft_text_is_pinned():
+    # the qlct preset at (cos t, sin t, cos t), printed as the qcsv header prints it
+    assert format_param_pair(*preset_qfrft(0.7, 1.2)) == (
+        "-0.59362091606333978,1.5522703269571041,-0.59362091606333978,0,0:"
+        "-0.19438978468410248,1.0729163777098973,-0.19438978468410248,0,0")
+    # the cos snap keeps -cot/2 a signed zero at right angles
+    assert format_param_pair(*preset_qfrft(math.pi / 2, -math.pi / 2)) == \
+        "-0,1,-0,0,0:0,-1,0,0,0"
+
+
 def test_preset_qfrft_degenerate_angle():
     with pytest.raises(ParameterError):
         preset_qfrft(0.0, 1.0)

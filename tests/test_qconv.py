@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dqqpft.params import ParamSet
+from dqqpft.params import ParameterError, ParamSet
 from dqqpft.qconv import ConvReport, conv_theorem_check, conv_theorem_rhs, qp_convolve
 from dqqpft.signal import QSignal2D, max_deviation, rel_deviation
 from dqqpft.transform import forward_direct, make_config
@@ -134,6 +134,18 @@ def test_memory_stays_linear_where_blocks_widen(n1, n2):
     finally:
         tracemalloc.stop()
     assert peak <= 48 * n1 * n2 * 16
+
+
+def test_convolution_chirp_overflow_boundary():
+    # 2*a*2*(2 - 0)*1 at N1 = 3, dt1 = 1: DBL_MAX/8 reaches DBL_MAX, the next double inf
+    a = np.finfo(float).max / 8
+    qft = ParamSet(0.0, 1.0, 0.0, 0.0, 0.0)
+    cfg = make_config(ParamSet(a, 1.0, 0.0, 0.0, 0.0), qft, 3, 5)
+    rng = np.random.default_rng(4)
+    out = qp_convolve(rand_signal(rng, 3, 5), rand_signal(rng, 3, 5), cfg)
+    assert np.isfinite(out.comps).all()
+    with pytest.raises(ParameterError, match="^axis 1: convolution chirp overflows"):
+        make_config(ParamSet(math.nextafter(a, math.inf), 1.0, 0.0, 0.0, 0.0), qft, 3, 5)
 
 
 def test_qp_convolve_dimension_mismatch():

@@ -9,7 +9,16 @@ FFT entry point, on ``numpy.fft``), the matching quadratic-phase
 convolution, qcsv/PPM I/O and a seeded verification harness.
 """
 
-from .fast import FastPlan, dqpft_1d, forward_fast, inverse_fast, make_plan
+from .fast import (
+    FastPlan,
+    conjugate_transform_decomposition,
+    dqpft_1d,
+    forward_fast,
+    inverse_fast,
+    make_plan,
+    modulation_rhs,
+    translation_rhs,
+)
 from .io import (
     MAPPINGS,
     PpmError,
@@ -48,15 +57,12 @@ from .transform import (
     TWO_SIDED,
     TransformConfig,
     circular_shift,
-    conjugate_transform_decomposition,
     forward_direct,
     inverse_direct,
     left_kernel,
     make_config,
     modulated_signal,
-    modulation_rhs,
     right_kernel,
-    translation_rhs,
 )
 from .verify import PropertyResult, all_passed, format_report, run_verify
 

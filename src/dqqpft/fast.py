@@ -5,7 +5,7 @@ transform, with the plain two-sided quaternion DFT evaluated as two
 plain complex 2D DFTs on the planes p+ = u - i*v and p- = u + i*v of
 each sample q = u + v*j.  The split, the broadcast chirps and the
 post-chirped join are ``transform._split_planes``, ``_chirp_planes`` and
-``_chirp_join``, shared with the identity helpers and the convolution
+``_chirp_join``, shared with the pointwise products and the convolution
 theorem.  The DFT kernel exp(-i*th1) * q * exp(-j*th2) becomes
 exp(-i*(th1 + th2)) on p-, a plain ``fft2``, and exp(-i*(th1 - th2)) on
 p+: axis 0 keeps the sign and axis 1, the j-axis, takes the flipped one.
@@ -18,6 +18,10 @@ O(N1 + N2) vectors are allocated.
 ``_fft2_raw`` here is the library's one FFT entry point.  It takes one
 exponent sign per axis and runs each axis on ``numpy.fft`` (pocketfft),
 which handles every length, prime lengths included.
+
+The modulation, translation and conjugation identity helpers live here
+too: they run on the array core ``_forward`` under one plan, in
+O(N1*N2*log(N1*N2)), and wrap only the result they return.
 """
 
 from __future__ import annotations
@@ -27,18 +31,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import _two_product
 from .params import ParamSet, preset_qft
 from .signal import QSignal2D, _real_array
 from .transform import (
     TransformConfig,
+    _axes,
     _check_dims,
     _check_two_sided,
     _chirp_join,
     _chirp_planes,
-    _freq_chirp,
+    _freq_phase,
+    _mod_2pi,
     _pointwise_sandwich,
+    _quad_phase,
     _split_planes,
-    _time_chirp,
+    _time_phase,
     make_config,
 )
 
@@ -48,6 +56,9 @@ __all__ = [
     "forward_fast",
     "inverse_fast",
     "dqpft_1d",
+    "modulation_rhs",
+    "translation_rhs",
+    "conjugate_transform_decomposition",
 ]
 
 
@@ -72,14 +83,12 @@ class FastPlan:
 
 def make_plan(cfg: TransformConfig) -> FastPlan:
     _check_two_sided(cfg, "the fast path")
-    g = cfg.grid
-    return FastPlan(
-        cfg=cfg,
-        pre1=_time_chirp(cfg.p1, g.n1, g.dt1, -1),
-        pre2=_time_chirp(cfg.p2, g.n2, g.dt2, -1),
-        post1=_freq_chirp(cfg.p1, g.n1, g.dt1, -1),
-        post2=_freq_chirp(cfg.p2, g.n2, g.dt2, -1),
-    )
+    pre, post = [], []
+    for p, n, dt in _axes(cfg):
+        x = np.arange(n)
+        pre.append(np.exp(-1j * _mod_2pi(_time_phase(p, x, dt))))
+        post.append(np.exp(-1j * _mod_2pi(_freq_phase(p, x, n, dt))))
+    return FastPlan(cfg, pre[0], pre[1], post[0], post[1])
 
 
 def make_psi(f: QSignal2D, plan: FastPlan) -> QSignal2D:
@@ -119,37 +128,43 @@ def _dft_planes(comps: np.ndarray, pre, sign: int) -> np.ndarray:
     return planes
 
 
-def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> QSignal2D:
+def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> np.ndarray:
     """Chirp ``pre``, plain two-sided DFT of exponent ``sign``, chirp ``post``, scale.
 
     ``pre`` and ``post`` are ``_chirp_planes`` (left, right) pairs; ``post``
-    goes in with ``scale`` through ``_chirp_join``.
+    goes in with ``scale`` through ``_chirp_join``; returns a new array.
     """
-    return QSignal2D._adopt(_chirp_join(_dft_planes(comps, pre, sign), *post, scale))
+    return _chirp_join(_dft_planes(comps, pre, sign), *post, scale)
 
 
 def dqft2_via_fft(psi: QSignal2D) -> QSignal2D:
     """Unnormalised two-sided quaternion DFT through two complex FFTs."""
     unit = (np.ones(psi.n1), np.ones(psi.n2))
-    return _chirp_dft_chirp(psi.comps, unit, unit, -1, 1.0)
+    return QSignal2D._adopt(_chirp_dft_chirp(psi.comps, unit, unit, -1, 1.0))
 
 
 def _scale(plan: FastPlan) -> float:
     return 1.0 / math.sqrt(plan.cfg.grid.n1 * plan.cfg.grid.n2)
 
 
+def _forward(comps: np.ndarray, plan: FastPlan) -> np.ndarray:
+    """The forward transform of a component array of the plan's grid, as a new one."""
+    return _chirp_dft_chirp(comps, (plan.pre1, plan.pre2), (plan.post1, plan.post2),
+                            -1, _scale(plan))
+
+
 def forward_fast(f: QSignal2D, plan: FastPlan) -> QSignal2D:
     """Fast two-sided transform; matches ``forward_direct`` to rounding."""
     _check_dims(f, plan.cfg)
-    return _chirp_dft_chirp(f.comps, (plan.pre1, plan.pre2), (plan.post1, plan.post2),
-                            -1, _scale(plan))
+    return QSignal2D._adopt(_forward(f.comps, plan))
 
 
 def inverse_fast(F: QSignal2D, plan: FastPlan) -> QSignal2D:
     """Fast inverse: conjugated chirps around a sign-flipped DFT."""
     _check_dims(F, plan.cfg)
-    return _chirp_dft_chirp(F.comps, (np.conj(plan.post1), np.conj(plan.post2)),
-                            (np.conj(plan.pre1), np.conj(plan.pre2)), +1, _scale(plan))
+    return QSignal2D._adopt(_chirp_dft_chirp(
+        F.comps, (np.conj(plan.post1), np.conj(plan.post2)),
+        (np.conj(plan.pre1), np.conj(plan.pre2)), +1, _scale(plan)))
 
 
 def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
@@ -175,3 +190,79 @@ def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
         comps.view(np.complex128)[:, 0, 0] = arr
     out = forward_fast(QSignal2D(comps), plan).comps[:, 0]
     return out * conj_v if quat else out.view(np.complex128)[:, 0].copy()
+
+
+def _check_identity(f: QSignal2D, cfg: TransformConfig, identity: str, shift=(0, 0)):
+    _check_dims(f, cfg)
+    _check_two_sided(cfg, identity)
+    (s1, s2), g = shift, cfg.grid
+    if not (0 <= s1 < g.n1 and 0 <= s2 < g.n2):
+        raise IndexError(f"shift ({s1}, {s2}) out of range for grid {(g.n1, g.n2)}")
+
+
+def modulation_rhs(f: QSignal2D, cfg: TransformConfig, eps1: int, eps2: int) -> QSignal2D:
+    """Frequency-shifted spectrum with its quadratic phase correction.
+
+    Evaluates  exp(i*rho1) * F[(w1-eps1) mod N1, (w2-eps2) mod N2] * exp(j*rho2)
+    with rho = c*(m^2 - w^2)*du^2 + e*(m - w)*du at the wrapped index
+    m = (w - eps) mod N.  The phase is taken at the wrapped index, so the
+    identity with the transform of the modulated signal is exact for every
+    shift; when nothing wraps, rho reduces to the familiar
+    c*(eps^2 - 2*w*eps)*du^2 - e*eps*du.
+    """
+    _check_identity(f, cfg, "modulation identity", (eps1, eps2))
+    rows, rho = [], []
+    for (p, n, dt), eps in zip(_axes(cfg), (eps1, eps2)):
+        w = np.arange(n)
+        m = (w - eps) % n
+        rows.append(m)
+        w_hi, w_lo = _freq_phase(p, w, n, dt)
+        rho.append(np.exp(1j * _mod_2pi(_freq_phase(p, m, n, dt), (-w_hi, -w_lo))))
+    F = _forward(f.comps, make_plan(cfg))[np.ix_(*rows)]  # the ungathered spectrum is not kept
+    return QSignal2D._adopt(_pointwise_sandwich(F, *rho))
+
+
+def translation_rhs(f: QSignal2D, cfg: TransformConfig, k1: int, k2: int) -> QSignal2D:
+    """Literal right-hand side of the translation identity.
+
+    Transforms the inner chirped signal
+    exp(-2i*a1*x1*k1*dt1^2) * f * exp(-2j*a2*x2*k2*dt2^2) and multiplies by
+    exp(-i(a1*k1^2*dt1^2 + d1*k1*dt1 + 2*pi*k1*w1/N1)) on the left and the
+    j-analogue on the right.  It equals the spectrum of the shifted signal
+    only where the shift does not wrap (or the time-side phase is
+    N-periodic, e.g. a = d = 0); callers are expected to pick the regime.
+    """
+    _check_identity(f, cfg, "translation identity", (k1, k2))
+    inner, outer = [], []
+    for (p, n, dt), k in zip(_axes(cfg), (k1, k2)):
+        x = np.arange(n)
+        inner.append(np.exp(-1j * _mod_2pi(
+            _quad_phase(0.0, 2.0 * p.a, x * k, _two_product(dt, dt)))))
+        outer.append(np.exp(-1j * _mod_2pi(_time_phase(p, k, dt),
+                                            ((2.0 * math.pi / n) * (k * x % n), 0.0))))
+    T = _forward(_pointwise_sandwich(f.comps, *inner), make_plan(cfg))
+    return QSignal2D._adopt(_pointwise_sandwich(T, *outer))
+
+
+def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:
+    """Transform of conj(f) assembled as Q[f0] - i*Q[f1] - Q[f2]*j - i*Q[f3]*j.
+
+    Q[fn] is the transform of the real component fn, and conj(f) is
+    f0 - f1*i - f2*j - f3*k.  A real sample commutes with every factor,
+    i commutes with the left exponential and j with the right one, so
+
+        e^{-i*a} * (f1*i) * e^{-j*b} = i * Q[f1],
+        e^{-i*a} * (f2*j) * e^{-j*b} = Q[f2] * j,
+        e^{-i*a} * (f3*k) * e^{-j*b} = i * Q[f3] * j,
+
+    the last because k = i*j.  The assembly is therefore an identity
+    for every signal, not only for signals without a k component.
+    """
+    _check_identity(f, cfg, "conjugate decomposition")
+    plan, real, spectra = make_plan(cfg), np.zeros(f.comps.shape), []
+    for n in range(4):
+        real[..., 0] = f.comps[..., n]  # each fn in turn through one reused buffer
+        spectra.append(np.moveaxis(_forward(real, plan).view(np.complex128), -1, 0))
+    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = spectra
+    return QSignal2D._adopt(np.stack([u0 - 1j * u1 + v2 + 1j * v3,
+                                      v0 - 1j * v1 - u2 - 1j * u3], axis=-1).view(np.float64))

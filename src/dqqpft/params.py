@@ -119,7 +119,10 @@ def preset_qlct(abd1: tuple[float, float, float],
             raise ParameterError(f"linear-canonical triple must be finite, got {(a, b, d)}")
         if b == 0.0:
             raise ParameterError("linear-canonical parameter b must be nonzero")
-        out.append(ParamSet(-a / (2.0 * b), 1.0 / b, -d / (2.0 * b), 0.0, 0.0))
+        derived = (-a / (2.0 * b), 1.0 / b, -d / (2.0 * b))
+        if not all(math.isfinite(v) for v in derived):
+            raise ParameterError(f"linear-canonical triple {(a, b, d)} overflows float64: {derived}")
+        out.append(ParamSet(*derived, 0.0, 0.0))
     return out[0], out[1]
 
 

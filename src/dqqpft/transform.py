@@ -1,4 +1,4 @@
-"""Direct quadratic-phase quaternion transforms and their identities.
+"""Direct quadratic-phase quaternion transforms and the phases the library shares.
 
 The two-sided transform of an n1 x n2 quaternion signal f is
 
@@ -11,9 +11,9 @@ with per-axis phases
 
 The bracketed time and frequency sides are written once, in
 ``_time_phase`` and ``_freq_phase``; every kernel, chirp and identity
-phase correction here is built from those two, save the translation
-identity's inner chirp 2*a*x*k*dt^2, which goes through the same
-double-double ``_quad_phase``.  So are the kernel (``_kernel``), the
+phase correction in the library is built from those two, save the
+translation identity's inner chirp 2*a*x*k*dt^2, which goes through the
+same double-double ``_quad_phase``.  So are the kernel (``_kernel``), the
 convolution chirp (``_conv_phase``), the planes join (``_chirp_join``)
 and the two-sided requirement (``_check_two_sided``).
 
@@ -34,13 +34,12 @@ single side instead.
 
 The transforms here, a full O((N1*N2)^2) contraction of precomputed
 kernel matrices, are the definitional reference the FFT-based fast path
-is checked and benchmarked against.  The identity helpers take every
-spectrum from the fast path, in O(N1*N2*log(N1*N2)) at any grid size.
-All arithmetic runs on the component array viewed as complex pairs,
-q = u + v*j with u = w + i*x and v = y + i*z, where one-sided
-multiplications turn into ordinary complex products: an i-complex z on
-the left gives (z*u, z*v), one on the right (u*z, v*conj(z)), and the
-j-complex value c + j*s on the right gives (c*u - s*v, c*v + s*u).
+is checked and benchmarked against.  All arithmetic runs on the
+component array viewed as complex pairs, q = u + v*j with u = w + i*x
+and v = y + i*z, where one-sided multiplications turn into ordinary
+complex products: an i-complex z on the left gives (z*u, z*v), one on
+the right (u*z, v*conj(z)), and the j-complex value c + j*s on the
+right gives (c*u - s*v, c*v + s*u).
 """
 
 from __future__ import annotations
@@ -68,9 +67,6 @@ __all__ = [
     "inverse_direct",
     "modulated_signal",
     "circular_shift",
-    "modulation_rhs",
-    "translation_rhs",
-    "conjugate_transform_decomposition",
 ]
 
 TWO_SIDED = "two_sided"
@@ -330,14 +326,6 @@ def inverse_direct(F: QSignal2D, cfg: TransformConfig) -> QSignal2D:
     return QSignal2D._adopt(qconj(_sandwich(z1.T, z2.T, qconj(F.comps), other_side)))
 
 
-def _time_chirp(p: ParamSet, n: int, dt: float, sign: int) -> np.ndarray:
-    return np.exp(sign * 1j * _mod_2pi(_time_phase(p, np.arange(n), dt)))
-
-
-def _freq_chirp(p: ParamSet, n: int, dt: float, sign: int) -> np.ndarray:
-    return np.exp(sign * 1j * _mod_2pi(_freq_phase(p, np.arange(n), n, dt)))
-
-
 def _split_planes(comps: np.ndarray) -> np.ndarray:
     """Orthogonal planes split (Hitzer & Sangwine, 2013) into a new array.
 
@@ -396,85 +384,6 @@ def circular_shift(f: QSignal2D, k1: int, k2: int) -> QSignal2D:
     return QSignal2D._adopt(np.roll(f.comps, (k1, k2), axis=(0, 1)))
 
 
-def _fast_spectra(cfg: TransformConfig, *signals: QSignal2D) -> list[np.ndarray]:
-    """``forward_fast`` of each signal under one plan; ``fast`` imports this module."""
-    from .fast import forward_fast, make_plan
-    plan = make_plan(cfg)
-    return [forward_fast(s, plan).comps for s in signals]
-
-
 def _check_two_sided(cfg: TransformConfig, what: str) -> None:
     if cfg.side != TWO_SIDED:
         raise ParameterError(f"{what} takes the two-sided transform only, got side {cfg.side!r}")
-
-
-def _check_identity(f: QSignal2D, cfg: TransformConfig, identity: str, shift=(0, 0)):
-    _check_dims(f, cfg)
-    _check_two_sided(cfg, identity)
-    (s1, s2), g = shift, cfg.grid
-    if not (0 <= s1 < g.n1 and 0 <= s2 < g.n2):
-        raise IndexError(f"shift ({s1}, {s2}) out of range for grid {(g.n1, g.n2)}")
-
-
-def modulation_rhs(f: QSignal2D, cfg: TransformConfig, eps1: int, eps2: int) -> QSignal2D:
-    """Frequency-shifted spectrum with its quadratic phase correction.
-
-    Evaluates  exp(i*rho1) * F[(w1-eps1) mod N1, (w2-eps2) mod N2] * exp(j*rho2)
-    with rho = c*(m^2 - w^2)*du^2 + e*(m - w)*du at the wrapped index
-    m = (w - eps) mod N.  The phase is taken at the wrapped index, so the
-    identity with the transform of the modulated signal is exact for every
-    shift; when nothing wraps, rho reduces to the familiar
-    c*(eps^2 - 2*w*eps)*du^2 - e*eps*du.
-    """
-    _check_identity(f, cfg, "modulation identity", (eps1, eps2))
-    rows, rho = [], []
-    for (p, n, dt), eps in zip(_axes(cfg), (eps1, eps2)):
-        w = np.arange(n)
-        m = (w - eps) % n
-        rows.append(m)
-        w_hi, w_lo = _freq_phase(p, w, n, dt)
-        rho.append(np.exp(1j * _mod_2pi(_freq_phase(p, m, n, dt), (-w_hi, -w_lo))))
-    return QSignal2D._adopt(_pointwise_sandwich(_fast_spectra(cfg, f)[0][np.ix_(*rows)], *rho))
-
-
-def translation_rhs(f: QSignal2D, cfg: TransformConfig, k1: int, k2: int) -> QSignal2D:
-    """Literal right-hand side of the translation identity.
-
-    Transforms the inner chirped signal
-    exp(-2i*a1*x1*k1*dt1^2) * f * exp(-2j*a2*x2*k2*dt2^2) and multiplies by
-    exp(-i(a1*k1^2*dt1^2 + d1*k1*dt1 + 2*pi*k1*w1/N1)) on the left and the
-    j-analogue on the right.  It equals the spectrum of the shifted signal
-    only where the shift does not wrap (or the time-side phase is
-    N-periodic, e.g. a = d = 0); callers are expected to pick the regime.
-    """
-    _check_identity(f, cfg, "translation identity", (k1, k2))
-    inner, outer = [], []
-    for (p, n, dt), k in zip(_axes(cfg), (k1, k2)):
-        x = np.arange(n)
-        inner.append(np.exp(-1j * _mod_2pi(
-            _quad_phase(0.0, 2.0 * p.a, x * k, _two_product(dt, dt)))))
-        outer.append(np.exp(-1j * _mod_2pi(_time_phase(p, k, dt),
-                                            ((2.0 * math.pi / n) * (k * x % n), 0.0))))
-    (T,) = _fast_spectra(cfg, QSignal2D._adopt(_pointwise_sandwich(f.comps, *inner)))
-    return QSignal2D._adopt(_pointwise_sandwich(T, *outer))
-
-
-def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:
-    """Transform of conj(f) assembled as Q[f0] - i*Q[f1] - Q[f2]*j - i*Q[f3]*j.
-
-    Q[fn] is the transform of the real component fn, and conj(f) is
-    f0 - f1*i - f2*j - f3*k.  A real sample commutes with every factor,
-    i commutes with the left exponential and j with the right one, so
-
-        e^{-i*a} * (f1*i) * e^{-j*b} = i * Q[f1],
-        e^{-i*a} * (f2*j) * e^{-j*b} = Q[f2] * j,
-        e^{-i*a} * (f3*k) * e^{-j*b} = i * Q[f3] * j,
-
-    the last because k = i*j.  The assembly is therefore an identity
-    for every signal, not only for signals without a k component.
-    """
-    _check_identity(f, cfg, "conjugate decomposition")
-    q = _fast_spectra(cfg, *(QSignal2D.from_components(f.comps[..., n]) for n in range(4)))
-    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = (np.moveaxis(s.view(np.complex128), -1, 0) for s in q)
-    return QSignal2D._adopt(np.stack([u0 - 1j * u1 + v2 + 1j * v3,
-                                      v0 - 1j * v1 - u2 - 1j * u3], axis=-1).view(np.float64))

@@ -16,7 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fast import _fft2_raw, dqft2_via_fft, dqpft_1d, forward_fast, inverse_fast, make_plan
+from .fast import (
+    _fft2_raw,
+    conjugate_transform_decomposition,
+    dqft2_via_fft,
+    dqpft_1d,
+    forward_fast,
+    inverse_fast,
+    make_plan,
+    modulation_rhs,
+    translation_rhs,
+)
 from .params import ParamSet, _freq_step, preset_qfrft, preset_qft, preset_qlct
 from .qconv import conv_theorem_check, qp_convolve
 from .quaternion import J, Quaternion
@@ -27,14 +37,11 @@ from .transform import (
     TWO_SIDED,
     _sandwich,
     circular_shift,
-    conjugate_transform_decomposition,
     forward_direct,
     inverse_direct,
     left_kernel,
     make_config,
     modulated_signal,
-    modulation_rhs,
-    translation_rhs,
 )
 
 __all__ = ["PropertyResult", "run_verify", "all_passed", "format_report"]

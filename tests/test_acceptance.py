@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from dqqpft.bench import run_bench
-from dqqpft.fast import _fft2_raw, dqft2_via_fft, forward_fast, make_plan
+from dqqpft.fast import (
+    _fft2_raw,
+    dqft2_via_fft,
+    forward_fast,
+    make_plan,
+    modulation_rhs,
+    translation_rhs,
+)
 from dqqpft.params import ParamSet, preset_qfrft, preset_qft, preset_qlct
 from dqqpft.qconv import conv_theorem_check, qp_convolve
 from dqqpft.signal import QSignal2D, max_deviation, rel_deviation
@@ -20,8 +27,6 @@ from dqqpft.transform import (
     inverse_direct,
     make_config,
     modulated_signal,
-    modulation_rhs,
-    translation_rhs,
 )
 from oracles import (
     EXAMPLE_IN,

@@ -321,6 +321,18 @@ def test_non_finite_preset_is_usage_error_naming_it(example_qcsv, tmp_path, caps
     assert "math domain error" not in err
 
 
+@pytest.mark.parametrize("preset", ["qfrft:1e-320,1", "qlct:1e300,1e-10,0:1,1,1"])
+def test_overflowing_preset_is_usage_error_naming_its_triple(example_qcsv, tmp_path, capsys,
+                                                            preset):
+    assert main(["forward", "--preset", preset, "--in", str(example_qcsv),
+                 "--out", str(tmp_path / "o.qcsv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "linear-canonical triple" in lines[0] and "overflows float64" in lines[0]
+
+
 # finite flag values whose axis-1 kernel phase or time step squared overflows float64
 OVERFLOWING_PHASES = [
     ("--preset", "qft", (1e-310, 1.0)),
@@ -463,6 +475,13 @@ def test_measurement_helpers_stay_out_of_package_namespace():
     # one planes join, with its 1/2, and one kernel builder
     for name in ("_join_planes", "_kernel_factors", "_kernel_matrix"):
         assert not hasattr(dqqpft.transform, name)
+    # the identity helpers live beside the fast transform they call, and the
+    # direct reference imports nothing from the fast path
+    helpers = ("modulation_rhs", "translation_rhs", "conjugate_transform_decomposition")
+    for name in (*helpers, "_fast_spectra", "_time_chirp", "_freq_chirp"):
+        assert not hasattr(dqqpft.transform, name)
+    assert set(helpers) <= set(dqqpft.fast.__all__)
+    assert dqqpft.modulation_rhs is dqqpft.fast.modulation_rhs
     rows = dqqpft.bench.run_bench(sizes=(4,), repeats=1)
     assert [row.size for row in rows] == [4]
     assert "4x4" in dqqpft.bench.format_table(rows)

@@ -8,24 +8,24 @@ from hypothesis import strategies as st
 import dqqpft.fast
 from dqqpft.fast import (
     _fft2_raw,
+    conjugate_transform_decomposition,
     dqft2_via_fft,
     forward_fast,
     inverse_fast,
     make_plan,
     make_psi,
+    modulation_rhs,
+    translation_rhs,
 )
 from dqqpft.params import ParameterError
 from dqqpft.signal import QSignal2D, rel_deviation
 from dqqpft.transform import (
     LEFT_SIDED,
     circular_shift,
-    conjugate_transform_decomposition,
     forward_direct,
     inverse_direct,
     make_config,
     modulated_signal,
-    modulation_rhs,
-    translation_rhs,
 )
 from dqqpft.verify import _qft_oracle
 from oracles import (
@@ -288,6 +288,42 @@ def test_pointwise_product_works_inside_its_output_buffer():
     # the identity helpers split, chirp and join in their output, as the fast path does
     f = rand_signal(np.random.default_rng(19), 256, 512)
     assert traced_peak(modulated_signal, f, 3, 5) <= 1.10 * f.comps.nbytes
+
+
+def test_identity_helpers_memory():
+    f = rand_signal(np.random.default_rng(20), 512, 512)
+    cfg = rand_cfg(np.random.default_rng(21), 512, 512)
+    # four spectra, the reused real-component buffer and the assembled
+    # output: 7.00-7.02x the grid here, where validated per-component signals read 8.04x
+    assert traced_peak(conjugate_transform_decomposition, f, cfg) <= 7.5 * f.comps.nbytes
+    # two grids at a time: 2.03-2.04x, where keeping the spectrum past its gather read 3.02x
+    assert traced_peak(modulation_rhs, f, cfg, 3, 5) <= 2.2 * f.comps.nbytes
+    assert traced_peak(translation_rhs, f, cfg, 3, 5) <= 2.2 * f.comps.nbytes
+
+
+def test_identity_helpers_wrap_only_the_signal_they_return(monkeypatch):
+    rng = np.random.default_rng(22)
+    cfg = rand_cfg(rng, 6, 5)
+    f = rand_signal(rng, 6, 5)
+    inits, adopted = [], []
+    init, adopt = QSignal2D.__init__, QSignal2D._adopt.__func__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_adopt(cls, comps):
+        adopted.append(comps.shape)
+        return adopt(cls, comps)
+
+    monkeypatch.setattr(QSignal2D, "__init__", counting_init)
+    monkeypatch.setattr(QSignal2D, "_adopt", classmethod(counting_adopt))
+    for helper, args in ((modulation_rhs, (2, 3)), (translation_rhs, (1, 4)),
+                         (conjugate_transform_decomposition, ())):
+        adopted.clear()
+        helper(f, cfg, *args)
+        assert adopted == [(6, 5, 4)], helper.__name__
+    assert inits == []
 
 
 @pytest.mark.parametrize("transform", [forward_fast, inverse_fast])

@@ -121,6 +121,17 @@ def test_presets_name_a_non_finite_value(build, value):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: preset_qfrft(1e-320, 1.0),
+    lambda: preset_qlct((1e300, 1e-10, 0.0), (1.0, 1.0, 1.0)),
+], ids=["qfrft-tiny-angle", "qlct-huge-a-tiny-b"])
+def test_presets_name_the_triple_whose_derived_values_overflow(build):
+    # finite inputs whose -a/2b or 1/b overflows are refused by the triple
+    # the preset derived them from, not by the quintuple of infinities
+    with pytest.raises(ParameterError, match=r"linear-canonical triple .* overflows float64"):
+        build()
+
+
 def test_param_pair_text_roundtrip():
     rng = np.random.default_rng(9)
     for _ in range(20):

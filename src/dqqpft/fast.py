@@ -20,18 +20,23 @@ exponent sign per axis and runs each axis on ``numpy.fft`` (pocketfft),
 which handles every length, prime lengths included.
 
 The modulation, translation and conjugation identity helpers live here
-too: they run on the array core ``_forward`` under one plan, in
-O(N1*N2*log(N1*N2)), and wrap only the result they return.
+too, in O(N1*N2*log(N1*N2)), and wrap only the result they return.  The
+modulation and translation right-hand sides are each one chirp-DFT-chirp:
+the first gathers the DFT planes between the plan's own chirps, the
+second runs ``_forward`` with chirps that carry the shift, all built
+from ``_time_phase`` and ``_freq_phase``.  The conjugate decomposition
+runs ``_forward`` on each real component and adds each spectrum into the
+first as it arrives.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _two_product
 from .params import ParamSet, preset_qft
 from .signal import QSignal2D, _real_array
 from .transform import (
@@ -44,7 +49,6 @@ from .transform import (
     _freq_phase,
     _mod_2pi,
     _pointwise_sandwich,
-    _quad_phase,
     _split_planes,
     _time_phase,
     make_config,
@@ -193,11 +197,13 @@ def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
 
 
 def _check_identity(f: QSignal2D, cfg: TransformConfig, identity: str, shift=(0, 0)):
+    """Refuse what the identity does not cover; return the shift read as integers."""
     _check_dims(f, cfg)
     _check_two_sided(cfg, identity)
-    (s1, s2), g = shift, cfg.grid
+    (s1, s2), g = map(operator.index, shift), cfg.grid
     if not (0 <= s1 < g.n1 and 0 <= s2 < g.n2):
         raise IndexError(f"shift ({s1}, {s2}) out of range for grid {(g.n1, g.n2)}")
+    return s1, s2
 
 
 def modulation_rhs(f: QSignal2D, cfg: TransformConfig, eps1: int, eps2: int) -> QSignal2D:
@@ -209,39 +215,42 @@ def modulation_rhs(f: QSignal2D, cfg: TransformConfig, eps1: int, eps2: int) -> 
     identity with the transform of the modulated signal is exact for every
     shift; when nothing wraps, rho reduces to the familiar
     c*(eps^2 - 2*w*eps)*du^2 - e*eps*du.
+
+    The correction turns the post-chirp taken at m into the one at w, so
+    the plain DFT planes of the pre-chirped signal are rolled by eps, read
+    at m, and post-chirped at w: one chirp-DFT-chirp with the plan's own
+    vectors.
     """
-    _check_identity(f, cfg, "modulation identity", (eps1, eps2))
-    rows, rho = [], []
-    for (p, n, dt), eps in zip(_axes(cfg), (eps1, eps2)):
-        w = np.arange(n)
-        m = (w - eps) % n
-        rows.append(m)
-        w_hi, w_lo = _freq_phase(p, w, n, dt)
-        rho.append(np.exp(1j * _mod_2pi(_freq_phase(p, m, n, dt), (-w_hi, -w_lo))))
-    F = _forward(f.comps, make_plan(cfg))[np.ix_(*rows)]  # the ungathered spectrum is not kept
-    return QSignal2D._adopt(_pointwise_sandwich(F, *rho))
+    eps = _check_identity(f, cfg, "modulation identity", (eps1, eps2))
+    plan = make_plan(cfg)
+    planes = np.roll(_dft_planes(f.comps, (plan.pre1, plan.pre2), -1), eps, axis=(0, 1))
+    return QSignal2D._adopt(_chirp_join(planes, plan.post1, plan.post2, _scale(plan)))
 
 
 def translation_rhs(f: QSignal2D, cfg: TransformConfig, k1: int, k2: int) -> QSignal2D:
     """Literal right-hand side of the translation identity.
 
-    Transforms the inner chirped signal
-    exp(-2i*a1*x1*k1*dt1^2) * f * exp(-2j*a2*x2*k2*dt2^2) and multiplies by
+    Its value is the transform of the inner chirped signal
+    exp(-2i*a1*x1*k1*dt1^2) * f * exp(-2j*a2*x2*k2*dt2^2) multiplied by
     exp(-i(a1*k1^2*dt1^2 + d1*k1*dt1 + 2*pi*k1*w1/N1)) on the left and the
     j-analogue on the right.  It equals the spectrum of the shifted signal
     only where the shift does not wrap (or the time-side phase is
     N-periodic, e.g. a = d = 0); callers are expected to pick the regime.
+
+    With the time side T(x) = a*x^2*dt^2 + d*x*dt, T(x) + 2*a*x*k*dt^2 +
+    T(k) = T(x + k) for integer x and k, so the inner chirp, the transform's
+    pre-chirp and T(k) are the one pre-chirp exp(-i*T(x + k)), and the
+    post-chirp is exp(-i*(c*w^2*du^2 + e*w*du + 2*pi*(k*w mod N)/N)): one
+    chirp-DFT-chirp.
     """
-    _check_identity(f, cfg, "translation identity", (k1, k2))
-    inner, outer = [], []
-    for (p, n, dt), k in zip(_axes(cfg), (k1, k2)):
+    k = _check_identity(f, cfg, "translation identity", (k1, k2))
+    pre, post = [], []
+    for (p, n, dt), s in zip(_axes(cfg), k):
         x = np.arange(n)
-        inner.append(np.exp(-1j * _mod_2pi(
-            _quad_phase(0.0, 2.0 * p.a, x * k, _two_product(dt, dt)))))
-        outer.append(np.exp(-1j * _mod_2pi(_time_phase(p, k, dt),
-                                            ((2.0 * math.pi / n) * (k * x % n), 0.0))))
-    T = _forward(_pointwise_sandwich(f.comps, *inner), make_plan(cfg))
-    return QSignal2D._adopt(_pointwise_sandwich(T, *outer))
+        pre.append(np.exp(-1j * _mod_2pi(_time_phase(p, x + s, dt))))
+        post.append(np.exp(-1j * _mod_2pi(_freq_phase(p, x, n, dt),
+                                           ((2.0 * math.pi / n) * (s * x % n), 0.0))))
+    return QSignal2D._adopt(_forward(f.comps, FastPlan(cfg, *pre, *post)))
 
 
 def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:
@@ -259,10 +268,18 @@ def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSi
     for every signal, not only for signals without a k component.
     """
     _check_identity(f, cfg, "conjugate decomposition")
-    plan, real, spectra = make_plan(cfg), np.zeros(f.comps.shape), []
+    plan, real = make_plan(cfg), np.zeros(f.comps.shape)
     for n in range(4):
         real[..., 0] = f.comps[..., n]  # each fn in turn through one reused buffer
-        spectra.append(np.moveaxis(_forward(real, plan).view(np.complex128), -1, 0))
-    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = spectra
-    return QSignal2D._adopt(np.stack([u0 - 1j * u1 + v2 + 1j * v3,
-                                      v0 - 1j * v1 - u2 - 1j * u3], axis=-1).view(np.float64))
+        uv = _forward(real, plan).view(np.complex128)
+        if n % 2:
+            uv *= 1j  # i*Q[f1], i*Q[f3]
+        if n == 0:
+            out = uv  # the later terms are added in place, in the formula's order
+        elif n == 1:
+            out -= uv
+        else:  # -Q[fn]*j is (v, -u) in the (u, v) form
+            out[..., 0] += uv[..., 1]
+            out[..., 1] -= uv[..., 0]
+        del uv  # no spent spectrum stays alive beside the next one
+    return QSignal2D._adopt(out.view(np.float64))

@@ -11,11 +11,9 @@ with per-axis phases
 
 The bracketed time and frequency sides are written once, in
 ``_time_phase`` and ``_freq_phase``; every kernel, chirp and identity
-phase correction in the library is built from those two, save the
-translation identity's inner chirp 2*a*x*k*dt^2, which goes through the
-same double-double ``_quad_phase``.  So are the kernel (``_kernel``), the
-convolution chirp (``_conv_phase``), the planes join (``_chirp_join``)
-and the two-sided requirement (``_check_two_sided``).
+phase correction in the library is built from those two.  So are the
+kernel (``_kernel``), the convolution chirp (``_conv_phase``), the planes
+join (``_chirp_join``) and the two-sided requirement (``_check_two_sided``).
 
 The time side grows as a*(N*dt)^2, so a float64 evaluation loses
 O(N^2 * eps) rad: up to 3e-7 rad at N = 16384 with |a| <= 2 and dt <= 2.
@@ -380,8 +378,8 @@ def modulated_signal(f: QSignal2D, eps1: int, eps2: int) -> QSignal2D:
 
 
 def circular_shift(f: QSignal2D, k1: int, k2: int) -> QSignal2D:
-    """f[(x1 - k1) mod N1, (x2 - k2) mod N2]."""
-    return QSignal2D._adopt(np.roll(f.comps, (k1, k2), axis=(0, 1)))
+    """f[(x1 - k1) mod N1, (x2 - k2) mod N2] for integer shifts."""
+    return QSignal2D._adopt(np.roll(f.comps, (operator.index(k1), operator.index(k2)), axis=(0, 1)))
 
 
 def _check_two_sided(cfg: TransformConfig, what: str) -> None:

@@ -360,10 +360,8 @@ def _theorem_checks(rng, results):
         # full parameter sets: keep the shifted support away from the wrap
         cfg = _rand_cfg(rng, n1, n2)
         comps = np.array(f.comps)
-        if k1:
-            comps[n1 - k1:, :] = 0.0
-        if k2:
-            comps[:, n2 - k2:] = 0.0
+        comps[n1 - k1:, :] = 0.0  # an empty slice at k = 0
+        comps[:, n2 - k2:] = 0.0
         fpad = QSignal2D(comps)
         lhs = forward_direct(circular_shift(fpad, k1, k2), cfg)
         dev_pad = max(dev_pad, rel_deviation(lhs, translation_rhs(fpad, cfg, k1, k2)))

@@ -293,12 +293,13 @@ def test_pointwise_product_works_inside_its_output_buffer():
 def test_identity_helpers_memory():
     f = rand_signal(np.random.default_rng(20), 512, 512)
     cfg = rand_cfg(np.random.default_rng(21), 512, 512)
-    # four spectra, the reused real-component buffer and the assembled
-    # output: 7.00-7.02x the grid here, where validated per-component signals read 8.04x
-    assert traced_peak(conjugate_transform_decomposition, f, cfg) <= 7.5 * f.comps.nbytes
-    # two grids at a time: 2.03-2.04x, where keeping the spectrum past its gather read 3.02x
+    # the running sum, the reused real-component buffer and one transform: 3.02x the grid here
+    assert traced_peak(conjugate_transform_decomposition, f, cfg) <= 3.3 * f.comps.nbytes
+    # the DFT planes and their rolled copy: 2.00x, where keeping the
+    # spectrum past its gather read 3.02x
     assert traced_peak(modulation_rhs, f, cfg, 3, 5) <= 2.2 * f.comps.nbytes
-    assert traced_peak(translation_rhs, f, cfg, 3, 5) <= 2.2 * f.comps.nbytes
+    # one transform: 1.02x
+    assert traced_peak(translation_rhs, f, cfg, 3, 5) <= 1.2 * f.comps.nbytes
 
 
 def test_identity_helpers_wrap_only_the_signal_they_return(monkeypatch):
@@ -318,12 +319,43 @@ def test_identity_helpers_wrap_only_the_signal_they_return(monkeypatch):
 
     monkeypatch.setattr(QSignal2D, "__init__", counting_init)
     monkeypatch.setattr(QSignal2D, "_adopt", classmethod(counting_adopt))
-    for helper, args in ((modulation_rhs, (2, 3)), (translation_rhs, (1, 4)),
-                         (conjugate_transform_decomposition, ())):
-        adopted.clear()
+    ffts, sandwiches = [], []
+    raw, sandwich = dqqpft.fast._fft2_raw, dqqpft.fast._pointwise_sandwich
+
+    def counting_fft(x, *args, **kwargs):
+        ffts.append(x.shape)
+        return raw(x, *args, **kwargs)
+
+    def counting_sandwich(comps, *args):
+        sandwiches.append(comps.shape)
+        return sandwich(comps, *args)
+
+    monkeypatch.setattr(dqqpft.fast, "_fft2_raw", counting_fft)
+    monkeypatch.setattr(dqqpft.fast, "_pointwise_sandwich", counting_sandwich)
+    for helper, args, fft_calls in ((modulation_rhs, (2, 3), 2), (translation_rhs, (1, 4), 2),
+                                    (conjugate_transform_decomposition, (), 8)):
+        for calls in (adopted, ffts, sandwiches):
+            calls.clear()
         helper(f, cfg, *args)
         assert adopted == [(6, 5, 4)], helper.__name__
+        # one chirp-DFT-chirp per transform, with no pointwise pass around it
+        assert (len(ffts), len(sandwiches)) == (fft_calls, 0), helper.__name__
     assert inits == []
+
+
+@pytest.mark.parametrize("shifted", [
+    lambda f, cfg, k: translation_rhs(f, cfg, k, 0),
+    lambda f, cfg, k: modulation_rhs(f, cfg, 0, k),
+    lambda f, cfg, k: circular_shift(f, k, k),
+], ids=["translation_rhs", "modulation_rhs", "circular_shift"])
+def test_shifts_are_integers(shifted):
+    rng = np.random.default_rng(23)
+    cfg = rand_cfg(rng, 5, 4)
+    f = rand_signal(rng, 5, 4)
+    for k in (1.5, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            shifted(f, cfg, k)
+    np.testing.assert_array_equal(shifted(f, cfg, np.int64(2)).comps, shifted(f, cfg, 2).comps)
 
 
 @pytest.mark.parametrize("transform", [forward_fast, inverse_fast])
@@ -367,11 +399,12 @@ def test_fast_path_matches_the_exact_phase_reference(n1, n2):
 
 
 # The paper's identities with the fast path on both sides.  Over five
-# seeds per grid the worst readings were 1.5e-15 (reconstruction), 2.3e-16
-# (energy), 1.2e-15 (modulation), 1.4e-15 (translation on a non-wrapping
-# support) and 7.0e-16 (conjugation), with no growth from 96x250 to
-# 1024^2, so one bound of 1e-14 serves every size.  Float64 phases read
-# 4.1e-13 on the modulation identity at 1024^2.
+# seeds per grid ([n1, n2, s] for s = 0..4) the worst readings were
+# 1.7e-15 (reconstruction), 1.7e-16 (energy), 1.1e-15 (modulation),
+# 1.5e-15 (translation on a non-wrapping support) and 7.0e-16
+# (conjugation), with no growth from 96x250 to 1024^2, so one bound of
+# 1e-14 serves every size.  Float64 phases read 4.1e-13 on the
+# modulation identity at 1024^2.
 @pytest.mark.parametrize("n1,n2", [(257, 257), (96, 250), (1024, 1024)])
 def test_identities_hold_on_the_fast_path_at_large_grids(n1, n2):
     rng = np.random.default_rng([n1, n2, 1])

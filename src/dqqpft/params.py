@@ -36,7 +36,7 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class ParamSet:
-    """Axis parameter quintuple (a, b, c, d, e), b != 0."""
+    """Axis parameter quintuple (a, b, c, d, e), b != 0, stored as Python floats."""
 
     a: float
     b: float
@@ -50,6 +50,8 @@ class ParamSet:
             raise ParameterError(f"parameter set must be finite, got {vals}")
         if self.b == 0.0:
             raise ParameterError("parameter b must be nonzero")
+        for name, v in zip("abcde", vals):
+            object.__setattr__(self, name, float(v))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.a, self.b, self.c, self.d, self.e)
@@ -117,6 +119,7 @@ def preset_qlct(abd1: tuple[float, float, float],
     for a, b, d in (abd1, abd2):
         if not all(math.isfinite(v) for v in (a, b, d)):
             raise ParameterError(f"linear-canonical triple must be finite, got {(a, b, d)}")
+        a, b, d = float(a), float(b), float(d)
         if b == 0.0:
             raise ParameterError("linear-canonical parameter b must be nonzero")
         derived = (-a / (2.0 * b), 1.0 / b, -d / (2.0 * b))

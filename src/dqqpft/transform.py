@@ -10,10 +10,12 @@ with per-axis phases
     ph(x, w) = (a*x^2*dt^2 + d*x*dt) + (2*pi/N)*x*w + (c*w^2*du^2 + e*w*du).
 
 The bracketed time and frequency sides are written once, in
-``_time_phase`` and ``_freq_phase``; every kernel, chirp and identity
-phase correction in the library is built from those two.  So are the
+``_time_phase`` and ``_freq_phase``, and every kernel, chirp and identity
+phase correction that reaches ``exp`` is built from those two.  The
 kernel (``_kernel``), the convolution chirp (``_conv_phase``), the planes
-join (``_chirp_join``) and the two-sided requirement (``_check_two_sided``).
+join (``_chirp_join``) and the two-sided requirement (``_check_two_sided``)
+are each written once too.  The convolution chirp is plain float64 and
+reaches ``cos``/``sin`` unreduced.
 
 The time side grows as a*(N*dt)^2, so a float64 evaluation loses
 O(N^2 * eps) rad: up to 3e-7 rad at N = 16384 with |a| <= 2 and dt <= 2.
@@ -23,6 +25,11 @@ rounding error, and the sum of the three terms is reduced mod 2*pi with
 a two-double 2*pi before ``exp``.  Every phase that reaches ``exp`` lies
 in about [-pi, pi] and is within a few ulp of pi (~1e-15 rad) of the
 phase of the exact inputs, at any N, for phases below about 1e14 rad.
+
+The plain float64 phase decides overflow: a config is refused on an
+axis whose float64 kernel phase or convolution chirp is not finite
+(``_axis_step``), and double-double runs only where a phase reaches
+``exp``, so building a config takes a few Python float operations.
 
 The i-exponential always sits on the left of the sample and the
 j-exponential on the right; the order is load-bearing because the
@@ -119,8 +126,9 @@ def _axes(cfg: TransformConfig):
 # --- kernel phases in double-double ------------------------------------------
 #
 # A phase is carried as a pair (hi, lo) of doubles: hi is the plain float64
-# evaluation, the value the overflow rule of ``_axis_step`` reads, and
-# hi + lo the phase of the exact inputs to about 2**-100 relative.
+# evaluation (``_quad_hi``), which ``_axis_step`` evaluates on its own as
+# the overflow rule, and hi + lo the phase of the exact inputs to about
+# 2**-100 relative.
 
 _TWO_PI_HI, _TWO_PI_LO = 6.283185307179586, 2.4492935982947064e-16
 
@@ -131,21 +139,26 @@ def _dd_mul(a, b):
     return p, e + (a[0] * b[1] + a[1] * b[0])
 
 
+def _quad_hi(k2: float, k1: float, x, h: float):
+    """k2*x^2*h^2 + k1*x*h in plain float64, left to right."""
+    return k2 * x * x * h * h + k1 * x * h
+
+
 def _quad_phase(k2: float, k1: float, x, h):
     """k2*x^2*h^2 + k1*x*h at integer x as a (hi, lo) pair, for the step pair h = (h, h_lo).
 
     x is a Python int or an int64 array; + 0.0 makes it a Python float,
     whose arithmetic costs far less than a 0-d array's, or a float64
-    array.  hi is the plain float64 evaluation, left to right.  The exact phase is
-    summed in double-double as (k2*h*h)*x^2 + (k1*h)*x, with x*x exact
-    for any index below 2**53, and lo is its difference from hi.  Where
-    a step of that sum overflows but hi does not (Veltkamp's split
-    overflows above about 1.3e300, say), lo reads 0, so hi alone decides
-    whether the phase is finite.
+    array.  hi is ``_quad_hi`` at h.  The exact phase is summed in
+    double-double as (k2*h*h)*x^2 + (k1*h)*x, with x*x exact for any
+    index below 2**53, and lo is its difference from hi.  Where a step
+    of that sum overflows but hi does not (Veltkamp's split overflows
+    above about 1.3e300, say), lo reads 0, so hi alone decides whether
+    the phase is finite.
     """
     x = x + 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        hi = k2 * x * x * h[0] * h[0] + k1 * x * h[0]
+        hi = _quad_hi(k2, k1, x, h[0])
         quad = _dd_mul(_two_product(x, x), _dd_mul(_dd_mul((k2, 0.0), h), h))
         lin = _dd_mul((x, 0.0), _dd_mul((k1, 0.0), h))
         s, e = _two_sum(quad[0], lin[0])
@@ -154,13 +167,16 @@ def _quad_phase(k2: float, k1: float, x, h):
 
 
 def _freq_step_pair(p: ParamSet, n: int, dt: float):
-    """(du, lo): du = ``_freq_step`` and lo its error, du + lo = 2*pi*b/(n*dt)."""
+    """(du, lo): du = ``_freq_step`` and lo its error, du + lo = 2*pi*b/(n*dt).
+
+    b and dt are Python floats, which overflow to inf or NaN without a
+    warning, and n*dt > 0, so the division cannot raise.
+    """
     du = _freq_step(p, n, dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        num, num_e = _two_product(_TWO_PI_HI, p.b)
-        den, den_e = _two_product(float(n), dt)
-        q, q_e = _two_product(du, den)
-        lo = ((((num - q) - q_e) + (num_e + _TWO_PI_LO * p.b)) - du * den_e) / den
+    num, num_e = _two_product(_TWO_PI_HI, p.b)
+    den, den_e = _two_product(float(n), dt)
+    q, q_e = _two_product(du, den)
+    lo = ((((num - q) - q_e) + (num_e + _TWO_PI_LO * p.b)) - du * den_e) / den
     return du, lo
 
 
@@ -193,18 +209,6 @@ def _mod_2pi(*phases):
         return ((hi - p) - e) + (lo - q * _TWO_PI_LO)
 
 
-def _axis_phase(p: ParamSet, n: int, dt: float, xi, w) -> np.ndarray:
-    """Kernel phase at integer indices (Python ints or int64 arrays), reduced mod 2*pi.
-
-    The DFT term (2*pi/N)*x*w has period N in x*w, which is reduced
-    mod N in integers, so the term stays exact at any N.  The sum is
-    NaN where the float64 phase, time + DFT + frequency side, overflows.
-    """
-    xw = xi * w % n
-    return _mod_2pi(_time_phase(p, xi, dt), ((2.0 * math.pi / n) * xw, 0.0),
-                    _freq_phase(p, w, n, dt))
-
-
 def _conv_phase(a: float, dt: float, z, x):
     """``qp_convolve``'s chirp phase 2*a*z*(z - x)*dt^2, left to right."""
     return 2.0 * a * z * (z - x) * (dt * dt)
@@ -213,25 +217,36 @@ def _conv_phase(a: float, dt: float, z, x):
 def _axis_step(p: ParamSet, n: int, dt: float, axis: str) -> None:
     """Refuse an axis whose kernel phase or convolution chirp overflows float64.
 
-    The time and frequency terms grow with x and w and the DFT term stays
+    The kernel phase is read in plain float64, time + DFT + frequency
+    side in ``_mod_2pi``'s order with each side ``_quad_hi``, and is not
+    finite exactly where ``_kernel``'s phase is NaN, since ``_mod_2pi``
+    and ``_quad_phase`` zero every lo part and error term that overflows.
+    The time and frequency sides grow with x and w and the DFT term stays
     below 2*pi, so the phase is finite on the axis if it is at
     x = w = n - 1, where an infinite du reads as NaN.  Each partial
     product of ``_conv_phase`` is largest at z = n - 1, x = 0; an infinite
     dt^2 reads there as inf, or as NaN at a = 0 or n = 1.
     """
     du = _freq_step(p, n, dt)
-    if not np.isfinite(_axis_phase(p, n, dt, n - 1, n - 1)):
+    x = n - 1
+    phase = (_quad_hi(p.a, p.d, x, dt) + (2.0 * math.pi / n) * (x * x % n)
+             + _quad_hi(p.c, p.e, x, du))
+    if not math.isfinite(phase):
         raise ParameterError(f"{axis}: kernel phase overflows float64 at N={n}, "
                              f"dt={dt!r}, du={du!r}")
-    a = float(p.a)
-    if not math.isfinite(_conv_phase(a, dt, n - 1, 0)):
+    if not math.isfinite(_conv_phase(p.a, dt, x, 0)):
         raise ParameterError(f"{axis}: convolution chirp overflows float64 at N={n}, "
-                             f"a={a!r}, dt={dt!r}")
+                             f"a={p.a!r}, dt={dt!r}")
 
 
 def _kernel(p: ParamSet, n: int, dt: float, xi, w):
-    """(1/sqrt(n)) * exp(-i*phase) at the index pairs (xi, w)."""
-    return np.exp(-1j * _axis_phase(p, n, dt, xi, w)) / math.sqrt(n)
+    """(1/sqrt(n)) * exp(-i*phase) at integer index pairs (Python ints or int64 arrays).
+
+    The DFT term (2*pi/N)*x*w has period N in x*w, which is reduced
+    mod N in integers, so the term stays exact at any N.
+    """
+    return np.exp(-1j * _mod_2pi(_time_phase(p, xi, dt), ((2.0 * math.pi / n) * (xi * w % n), 0.0),
+                                 _freq_phase(p, w, n, dt))) / math.sqrt(n)
 
 
 def _kernels(cfg: TransformConfig):
@@ -370,10 +385,13 @@ def _pointwise_sandwich(comps, left, right):
 
 
 def modulated_signal(f: QSignal2D, eps1: int, eps2: int) -> QSignal2D:
-    """exp(i*2*pi*eps1*x1/N1) * f * exp(j*2*pi*eps2*x2/N2)."""
-    n1, n2 = f.n1, f.n2
-    left = np.exp(2j * math.pi * (eps1 * np.arange(n1) % n1) / n1)
-    right = np.exp(2j * math.pi * (eps2 * np.arange(n2) % n2) / n2)
+    """exp(i*2*pi*eps1*x1/N1) * f * exp(j*2*pi*eps2*x2/N2) for integer shifts.
+
+    Each shift is reduced mod N before it multiplies the int64 index, so
+    that no product wraps.
+    """
+    left, right = (np.exp(2j * math.pi * (operator.index(eps) % n * np.arange(n) % n) / n)
+                   for eps, n in ((eps1, f.n1), (eps2, f.n2)))
     return QSignal2D._adopt(_pointwise_sandwich(f.comps, left, right))
 
 

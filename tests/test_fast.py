@@ -347,7 +347,8 @@ def test_identity_helpers_wrap_only_the_signal_they_return(monkeypatch):
     lambda f, cfg, k: translation_rhs(f, cfg, k, 0),
     lambda f, cfg, k: modulation_rhs(f, cfg, 0, k),
     lambda f, cfg, k: circular_shift(f, k, k),
-], ids=["translation_rhs", "modulation_rhs", "circular_shift"])
+    lambda f, cfg, k: modulated_signal(f, k, k),
+], ids=["translation_rhs", "modulation_rhs", "circular_shift", "modulated_signal"])
 def test_shifts_are_integers(shifted):
     rng = np.random.default_rng(23)
     cfg = rand_cfg(rng, 5, 4)
@@ -356,6 +357,14 @@ def test_shifts_are_integers(shifted):
         with pytest.raises(TypeError):
             shifted(f, cfg, k)
     np.testing.assert_array_equal(shifted(f, cfg, np.int64(2)).comps, shifted(f, cfg, 2).comps)
+
+
+def test_modulated_signal_reduces_its_shifts_before_the_product():
+    # 2**62 + 1 times an index wraps in int64, and 2**70 does not fit it
+    f = rand_signal(np.random.default_rng(24), 5, 4)
+    for k in (2**62 + 1, 2**70, -2**62 - 1):
+        np.testing.assert_array_equal(modulated_signal(f, k, k).comps,
+                                      modulated_signal(f, k % 5, k % 4).comps)
 
 
 @pytest.mark.parametrize("transform", [forward_fast, inverse_fast])

@@ -29,6 +29,20 @@ def test_paramset_rejects_non_finite():
         ParamSet(0, float("inf"), 0, 0, 0)
 
 
+def test_paramset_stores_python_floats():
+    # np.float64 subclasses float, so the check is on the exact type
+    p = ParamSet(np.float64(0.5), 1, 0, 0, 0)
+    assert all(type(v) is float for v in p.as_tuple())
+
+
+@pytest.mark.parametrize("b", [1e308, np.float64(1e308)], ids=["float", "numpy-scalar"])
+def test_overflowing_frequency_step_is_refused_for_any_float_type(b):
+    # du = 2*pi*b/(2*0.5) overflows; a numpy-scalar b is refused by the same rule
+    qft = ParamSet(0.0, 1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ParameterError, match="^axis 1: kernel phase overflows float64"):
+        make_config(ParamSet(0.0, b, 0.0, 0.0, 0.0), qft, 2, 2, 0.5)
+
+
 def test_make_grid_sampling_relation():
     # du = 2*pi*b/(N*dt) is derived by the config, not stored on the grid
     p = ParamSet(0, 1, 0, 0, 0)
@@ -124,7 +138,8 @@ def test_presets_name_a_non_finite_value(build, value):
 @pytest.mark.parametrize("build", [
     lambda: preset_qfrft(1e-320, 1.0),
     lambda: preset_qlct((1e300, 1e-10, 0.0), (1.0, 1.0, 1.0)),
-], ids=["qfrft-tiny-angle", "qlct-huge-a-tiny-b"])
+    lambda: preset_qlct((np.float64(1e300), 1e-10, 0.0), (1.0, 1.0, 1.0)),
+], ids=["qfrft-tiny-angle", "qlct-huge-a-tiny-b", "qlct-numpy-scalar-a"])
 def test_presets_name_the_triple_whose_derived_values_overflow(build):
     # finite inputs whose -a/2b or 1/b overflows are refused by the triple
     # the preset derived them from, not by the quintuple of infinities

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 
 import numpy as np
@@ -66,6 +67,53 @@ def test_config_rejects_unknown_side():
     p1, p2 = preset_qft()
     with pytest.raises(ParameterError):
         make_config(p1, p2, 2, 2, side="diagonal")
+
+
+_EDGE_VALUES = (0.0, 1.0, 1e150, 1e300, 1.7e308)
+
+
+def test_config_refuses_exactly_where_the_kernel_or_the_chirp_overflows():
+    # a seeded draw from the edge values, signs included; the kernel entry
+    # at x = w = N - 1 runs the double-double phase the config never does
+    rng = np.random.default_rng(33)
+    qft = ParamSet(0.0, 1.0, 0.0, 0.0, 0.0)
+    seen = collections.Counter()
+    for _ in range(400):
+        a, c, d, e = (rng.choice(_EDGE_VALUES, 4) * rng.choice([-1.0, 1.0], 4)).tolist()
+        b = float(rng.choice([1e-300, 1.0, 1e300]) * rng.choice([-1.0, 1.0]))
+        dt = float(rng.choice([5e-324, 1e-310, 1.0, 1e150, 1e200]))
+        n = int(rng.choice([1, 2, 3, 17]))
+        p = ParamSet(a, b, c, d, e)
+        axis = int(rng.integers(1, 3))
+        pair, sizes, steps = (p, qft), (n, 1), (dt, 1.0)
+        if axis == 2:
+            pair, sizes, steps = pair[::-1], sizes[::-1], steps[::-1]
+        if not np.isfinite(dqqpft.transform._kernel(p, n, dt, n - 1, n - 1)):
+            refusal = "kernel phase"
+        elif not math.isfinite(dqqpft.transform._conv_phase(p.a, dt, n - 1, 0)):
+            refusal = "convolution chirp"
+        else:
+            refusal = None
+        seen[refusal] += 1
+        if refusal is None:
+            make_config(*pair, *sizes, *steps)
+            continue
+        with pytest.raises(ParameterError, match=f"^axis {axis}: {refusal} overflows float64"):
+            make_config(*pair, *sizes, *steps)
+    assert len(seen) == 3 and min(seen.values()) >= 20, seen
+
+
+def test_config_validation_runs_no_double_double_and_no_numpy(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("building a config ran the double-double phase")
+
+    monkeypatch.setattr(dqqpft.transform, "_mod_2pi", refuse)
+    monkeypatch.setattr(dqqpft.transform, "_two_product", refuse)
+    monkeypatch.setattr(dqqpft.transform, "np", None)
+    p = ParamSet(0.3, -1.7, 0.1, 0.2, 0.4)
+    assert make_config(p, p, 6, 10, 0.8, 1.25).du2 == 2 * math.pi * -1.7 / (10 * 1.25)
+    with pytest.raises(ParameterError, match="^axis 1: kernel phase overflows float64"):
+        make_config(p, p, 2, 2, 1e-310)
 
 
 # --- kernels --------------------------------------------------------------

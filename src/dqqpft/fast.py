@@ -1,14 +1,16 @@
 """FFT-based fast path: chirp, plain DFT, chirp on the orthogonal planes split.
 
-The pipeline mirrors the chirp-DFT-chirp factorisation of the direct
-transform, with the plain two-sided quaternion DFT evaluated as two
-plain complex 2D DFTs on the planes p+ = u - i*v and p- = u + i*v of
-each sample q = u + v*j.  The split, the broadcast chirps and the
-post-chirped join are ``transform._split_planes``, ``_chirp_planes`` and
-``_chirp_join``, shared with the pointwise products and the convolution
-theorem.  The DFT kernel exp(-i*th1) * q * exp(-j*th2) becomes
-exp(-i*(th1 + th2)) on p-, a plain ``fft2``, and exp(-i*(th1 - th2)) on
-p+: axis 0 keeps the sign and axis 1, the j-axis, takes the flipped one.
+Each transform is ``_dft_planes`` then ``_chirp_join``: the pre-chirp
+and plain two-sided quaternion DFT, then the scaled post-chirp, as in
+the chirp-DFT-chirp factorisation of the direct transform.  The plain
+DFT is evaluated as two plain complex 2D DFTs on the planes
+p+ = u - i*v and p- = u + i*v of each sample q = u + v*j.  The split,
+the broadcast chirps and the post-chirped join are
+``transform._split_planes``, ``_chirp_planes`` and ``_chirp_join``,
+shared with the pointwise products and the convolution theorem.  The
+DFT kernel exp(-i*th1) * q * exp(-j*th2) becomes exp(-i*(th1 + th2))
+on p-, a plain ``fft2``, and exp(-i*(th1 - th2)) on p+: axis 0 keeps
+the sign and axis 1, the j-axis, takes the flipped one.
 The path is two-sided; one-sided placements run on the direct path.
 
 Each transform runs inside its output buffer, where the planes are
@@ -19,14 +21,16 @@ O(N1 + N2) vectors are allocated.
 exponent sign per axis and runs each axis on ``numpy.fft`` (pocketfft),
 which handles every length, prime lengths included.
 
+The chirp vectors are built in one place, ``_plan``, from ``_time_phase``
+and ``_freq_phase``; ``make_plan`` is its zero-shift case.
+
 The modulation, translation and conjugation identity helpers live here
 too, in O(N1*N2*log(N1*N2)), and wrap only the result they return.  The
 modulation and translation right-hand sides are each one chirp-DFT-chirp:
 the first gathers the DFT planes between the plan's own chirps, the
-second runs ``_forward`` with chirps that carry the shift, all built
-from ``_time_phase`` and ``_freq_phase``.  The conjugate decomposition
-runs ``_forward`` on each real component and adds each spectrum into the
-first as it arrives.
+second is ``_forward`` under the plan of the shift.  The conjugate
+decomposition runs ``_forward`` on each real component and adds each
+spectrum into the first as it arrives.
 """
 
 from __future__ import annotations
@@ -85,14 +89,24 @@ class FastPlan:
     post2: np.ndarray
 
 
+def _plan(cfg: TransformConfig, shift) -> FastPlan:
+    """The plan of the chirps exp(-i*T(x + k)) and exp(-i*(F(w) + 2*pi*(k*w mod N)/N)).
+
+    T and F are the time and frequency sides of the kernel phase and k the
+    integer shift per axis; k = (0, 0) gives the transform's own chirps.
+    """
+    pre, post = [], []
+    for (p, n, dt), k in zip(_axes(cfg), shift):
+        x = np.arange(n)
+        pre.append(np.exp(-1j * _mod_2pi(_time_phase(p, x + k, dt))))
+        post.append(np.exp(-1j * _mod_2pi(_freq_phase(p, x, n, dt),
+                                           ((2.0 * math.pi / n) * (k * x % n), 0.0))))
+    return FastPlan(cfg, *pre, *post)
+
+
 def make_plan(cfg: TransformConfig) -> FastPlan:
     _check_two_sided(cfg, "the fast path")
-    pre, post = [], []
-    for p, n, dt in _axes(cfg):
-        x = np.arange(n)
-        pre.append(np.exp(-1j * _mod_2pi(_time_phase(p, x, dt))))
-        post.append(np.exp(-1j * _mod_2pi(_freq_phase(p, x, n, dt))))
-    return FastPlan(cfg, pre[0], pre[1], post[0], post[1])
+    return _plan(cfg, (0, 0))
 
 
 def make_psi(f: QSignal2D, plan: FastPlan) -> QSignal2D:
@@ -132,19 +146,10 @@ def _dft_planes(comps: np.ndarray, pre, sign: int) -> np.ndarray:
     return planes
 
 
-def _chirp_dft_chirp(comps: np.ndarray, pre, post, sign: int, scale: float) -> np.ndarray:
-    """Chirp ``pre``, plain two-sided DFT of exponent ``sign``, chirp ``post``, scale.
-
-    ``pre`` and ``post`` are ``_chirp_planes`` (left, right) pairs; ``post``
-    goes in with ``scale`` through ``_chirp_join``; returns a new array.
-    """
-    return _chirp_join(_dft_planes(comps, pre, sign), *post, scale)
-
-
 def dqft2_via_fft(psi: QSignal2D) -> QSignal2D:
     """Unnormalised two-sided quaternion DFT through two complex FFTs."""
     unit = (np.ones(psi.n1), np.ones(psi.n2))
-    return QSignal2D._adopt(_chirp_dft_chirp(psi.comps, unit, unit, -1, 1.0))
+    return QSignal2D._adopt(_chirp_join(_dft_planes(psi.comps, unit, -1), *unit, 1.0))
 
 
 def _scale(plan: FastPlan) -> float:
@@ -153,8 +158,8 @@ def _scale(plan: FastPlan) -> float:
 
 def _forward(comps: np.ndarray, plan: FastPlan) -> np.ndarray:
     """The forward transform of a component array of the plan's grid, as a new one."""
-    return _chirp_dft_chirp(comps, (plan.pre1, plan.pre2), (plan.post1, plan.post2),
-                            -1, _scale(plan))
+    planes = _dft_planes(comps, (plan.pre1, plan.pre2), -1)
+    return _chirp_join(planes, plan.post1, plan.post2, _scale(plan))
 
 
 def forward_fast(f: QSignal2D, plan: FastPlan) -> QSignal2D:
@@ -166,9 +171,9 @@ def forward_fast(f: QSignal2D, plan: FastPlan) -> QSignal2D:
 def inverse_fast(F: QSignal2D, plan: FastPlan) -> QSignal2D:
     """Fast inverse: conjugated chirps around a sign-flipped DFT."""
     _check_dims(F, plan.cfg)
-    return QSignal2D._adopt(_chirp_dft_chirp(
-        F.comps, (np.conj(plan.post1), np.conj(plan.post2)),
-        (np.conj(plan.pre1), np.conj(plan.pre2)), +1, _scale(plan)))
+    planes = _dft_planes(F.comps, (np.conj(plan.post1), np.conj(plan.post2)), +1)
+    return QSignal2D._adopt(_chirp_join(planes, np.conj(plan.pre1), np.conj(plan.pre2),
+                                        _scale(plan)))
 
 
 def dqpft_1d(f, p: ParamSet, dt: float = 1.0) -> np.ndarray:
@@ -240,17 +245,11 @@ def translation_rhs(f: QSignal2D, cfg: TransformConfig, k1: int, k2: int) -> QSi
     With the time side T(x) = a*x^2*dt^2 + d*x*dt, T(x) + 2*a*x*k*dt^2 +
     T(k) = T(x + k) for integer x and k, so the inner chirp, the transform's
     pre-chirp and T(k) are the one pre-chirp exp(-i*T(x + k)), and the
-    post-chirp is exp(-i*(c*w^2*du^2 + e*w*du + 2*pi*(k*w mod N)/N)): one
-    chirp-DFT-chirp.
+    post-chirp is exp(-i*(c*w^2*du^2 + e*w*du + 2*pi*(k*w mod N)/N)): the
+    forward transform under ``_plan(cfg, k)``, the builder behind ``make_plan``.
     """
     k = _check_identity(f, cfg, "translation identity", (k1, k2))
-    pre, post = [], []
-    for (p, n, dt), s in zip(_axes(cfg), k):
-        x = np.arange(n)
-        pre.append(np.exp(-1j * _mod_2pi(_time_phase(p, x + s, dt))))
-        post.append(np.exp(-1j * _mod_2pi(_freq_phase(p, x, n, dt),
-                                           ((2.0 * math.pi / n) * (s * x % n), 0.0))))
-    return QSignal2D._adopt(_forward(f.comps, FastPlan(cfg, *pre, *post)))
+    return QSignal2D._adopt(_forward(f.comps, _plan(cfg, k)))
 
 
 def conjugate_transform_decomposition(f: QSignal2D, cfg: TransformConfig) -> QSignal2D:

@@ -34,9 +34,21 @@ class ParameterError(ValueError):
     """Raised for invalid parameter quintuples, grids or angle choices."""
 
 
+def _finite(v) -> bool:
+    """``math.isfinite``, reading an int past the float64 range as not finite."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ParamSet:
-    """Axis parameter quintuple (a, b, c, d, e), b != 0, stored as Python floats."""
+    """Axis parameter quintuple (a, b, c, d, e), b != 0, stored as Python floats.
+
+    Each value must be a finite real; an int too large for a float is
+    refused as not finite.
+    """
 
     a: float
     b: float
@@ -46,7 +58,7 @@ class ParamSet:
 
     def __post_init__(self):
         vals = (self.a, self.b, self.c, self.d, self.e)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(_finite(v) for v in vals):
             raise ParameterError(f"parameter set must be finite, got {vals}")
         if self.b == 0.0:
             raise ParameterError("parameter b must be nonzero")
@@ -59,7 +71,12 @@ class ParamSet:
 
 @dataclass(frozen=True)
 class Grid:
-    """Axis sizes and time steps; the frequency steps are derived from them."""
+    """Axis sizes and time steps; the frequency steps are derived from them.
+
+    Each size is an int from 1 to 2**53, so that every sample index lies
+    below 2**53, where the kernel phases are exact, and each step is a
+    positive finite real, stored as a float.
+    """
 
     n1: int
     n2: int
@@ -71,10 +88,13 @@ class Grid:
             n = getattr(self, name)
             if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {n!r}")
+            if n > 2**53:
+                raise ParameterError(f"{name} must be at most 2**53: the kernel "
+                                     "phases are exact for indices below 2**53")
             object.__setattr__(self, name, int(n))
         for name in ("dt1", "dt2"):
             dt = getattr(self, name)
-            if not (math.isfinite(dt) and dt > 0.0):
+            if not (_finite(dt) and dt > 0.0):
                 raise ParameterError(f"{name} must be a positive finite step, got {dt!r}")
             object.__setattr__(self, name, float(dt))
 
@@ -98,7 +118,7 @@ def preset_qfrft(theta1: float, theta2: float) -> tuple[ParamSet, ParamSet]:
     """
     abd = []
     for theta in (theta1, theta2):
-        if not math.isfinite(theta):
+        if not _finite(theta):
             raise ParameterError(f"fractional angle must be finite, got {theta!r}")
         s = math.sin(theta)
         if s == 0.0:
@@ -117,7 +137,7 @@ def preset_qlct(abd1: tuple[float, float, float],
     """Linear-canonical preset (-a/2b, 1/b, -d/2b, 0, 0) from (a, b, d) per axis."""
     out = []
     for a, b, d in (abd1, abd2):
-        if not all(math.isfinite(v) for v in (a, b, d)):
+        if not all(_finite(v) for v in (a, b, d)):
             raise ParameterError(f"linear-canonical triple must be finite, got {(a, b, d)}")
         a, b, d = float(a), float(b), float(d)
         if b == 0.0:

@@ -148,6 +148,22 @@ def test_io_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_number_too_large_for_a_float_exits_3_for_a_header_and_2_for_a_flag(
+        tmp_path, example_qcsv, capsys):
+    out = tmp_path / "o.qcsv"
+    bad = tmp_path / "huge_size.qcsv"
+    bad.write_text("1" + "0" * 400 + ",1\n1,1\n0,1,0,0,0:0,1,0,0,0\n1,0,0,0\n")
+    assert main(["forward", "--in", str(bad), "--out", str(out)]) == 3
+    header_err = capsys.readouterr().err
+    assert main(["forward", "--preset", "qft", "--dt", "1" + "0" * 400 + ",1",
+                 "--in", str(example_qcsv), "--out", str(out)]) == 2
+    flag_err = capsys.readouterr().err
+    for err, name in ((header_err, "n1"), (flag_err, "dt1")):
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {name} must be")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["forward", "inverse", "conv"])
 def test_overflowing_result_exits_3_naming_the_overflow(tmp_path, capsys, command):
     # finite samples near the float64 limit overflow on their way through

@@ -53,6 +53,15 @@ def test_plan_tables_have_unit_modulus_and_right_lengths():
             np.testing.assert_allclose(np.abs(vec), 1.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n1,n2", [(257, 257), (96, 250)])
+def test_translation_by_zero_is_the_forward_transform_bit_for_bit(n1, n2):
+    # both run the forward transform under the plan of one builder
+    rng = np.random.default_rng(n1 + n2)
+    cfg, f = rand_cfg(rng, n1, n2), rand_signal(rng, n1, n2)
+    np.testing.assert_array_equal(translation_rhs(f, cfg, 0, 0).comps,
+                                  forward_fast(f, make_plan(cfg)).comps)
+
+
 def test_plan_requires_two_sided():
     rng = np.random.default_rng(1)
     cfg = make_config(rand_params(rng), rand_params(rng), 2, 2, side=LEFT_SIDED)

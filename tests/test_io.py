@@ -95,6 +95,13 @@ def test_qcsv_header_whose_phase_overflows_is_refused_before_the_body(tmp_path):
         read_qcsv(path)
 
 
+def test_qcsv_size_too_large_for_a_float_is_refused(tmp_path):
+    path = tmp_path / "bad.qcsv"
+    path.write_text("1" + "0" * 400 + ",1\n1,1\n0,1,0,0,0:0,1,0,0,0\n1,0,0,0\n")
+    with pytest.raises(QcsvError, match="^n1 must be at most 2\\*\\*53"):
+        read_qcsv(path)
+
+
 def test_qcsv_malformed_header(tmp_path):
     path = tmp_path / "bad.qcsv"
     path.write_text("2\n1,1\n0,1,0,0,0:0,1,0,0,0\n" + "1,0,0,0\n" * 4)

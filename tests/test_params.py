@@ -70,6 +70,27 @@ def test_grid_rejects_bad_sizes_and_steps():
             Grid(*fields)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ParamSet(10**400, 1, 0, 0, 0), "^parameter set must be finite"),
+    (lambda: Grid(2, 2, 10**400, 1.0), "^dt1 must be a positive finite step"),
+    (lambda: make_config(*preset_qft(), 10**400, 1), "^n1 must be at most 2\\*\\*53"),
+    (lambda: preset_qfrft(10**400, 1), "^fractional angle must be finite"),
+    (lambda: preset_qlct((10**400, 1, 0), (1, 1, 1)), "^linear-canonical triple must be finite"),
+], ids=["paramset", "grid-step", "config-size", "qfrft-angle", "qlct-triple"])
+def test_an_int_too_large_for_a_float_is_refused_by_the_library_error(build, message):
+    with pytest.raises(ParameterError, match=message):
+        build()
+
+
+def test_grid_sizes_stop_at_2_to_the_53():
+    # every sample index then lies below 2**53, where the kernel phases are exact
+    assert make_config(*preset_qft(), 2**53, 1).grid.n1 == 2**53
+    assert Grid(1, 2**53, 1, 1).n2 == 2**53
+    for n1, n2, name in ((2**53 + 1, 1, "n1"), (1, 2**53 + 1, "n2"), (2**60, 1, "n1")):
+        with pytest.raises(ParameterError, match=f"^{name} must be at most 2\\*\\*53"):
+            make_config(*preset_qft(), n1, n2)
+
+
 def test_grid_construction_is_deterministic():
     a = Grid(7, 9, 0.77, 1.31)
     b = Grid(np.int64(7), 9, np.float64(0.77), 1.31)
